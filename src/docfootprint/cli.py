@@ -21,7 +21,6 @@ from .core import thinking_delta
 from .pipeline import (
     COMPLEXITY_NORMALIZATION_FACTOR,
     THINKING_NORMALIZATION_FACTOR,
-    InvoiceParseError,
     TokenLedger,
     count_tokens,
     normalize_energy,
@@ -30,7 +29,6 @@ from .pipeline import (
     run_pipeline,
 )
 from .reporting import (
-    ConfigError,
     build_bundle,
     emit_bundle_json,
     emit_plot_data,
@@ -137,8 +135,6 @@ def _cmd_usecase_run(args) -> int:
 
 
 def _cmd_thinking_delta(args) -> int:
-    if args.base_tokens < 0 or args.thinking_tokens < 0:
-        raise ValueError("token counts must be >= 0")
     config = load_config(args.config)
     profile = _profile_from(config, args.profile, config.scenario_profile)
     delta = thinking_delta(args.base_tokens, args.thinking_tokens, profile)
@@ -245,10 +241,8 @@ def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     try:
         return args.func(args)
-    except (ConfigError, InvoiceParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
+        # ConfigError and InvoiceParseError are ValueErrors.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

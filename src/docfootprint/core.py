@@ -17,7 +17,10 @@ WH_PER_KWH = 1000.0
 def _require_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise ValueError(f"{name}: must be finite, got an integer too large for a float") from None
     if not math.isfinite(value):
         raise ValueError(f"{name}: must be finite, got {value!r}")
     return value
@@ -53,6 +56,40 @@ class Interval:
 
     def as_tuple(self) -> tuple[float, float]:
         return (self.lo, self.hi)
+
+
+def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
+                 pairs: tuple[str, ...] = (), kinds: dict[str, type] | None = None) -> dict:
+    """Check the keys of a JSON object and return a copy of its fields.
+
+    Checks run in a fixed order, so the reported key never depends on
+    hashing: the object type, then the first missing required key in
+    declared order, then the first unknown key in sorted order. Keys in
+    kinds must hold values of the given type when present. Keys in
+    pairs must hold a [lo, hi] number pair (or null, when optional) and
+    come back as an Interval.
+    """
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, got {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{key}: missing required key")
+    unknown = sorted(set(obj).difference(required, optional))
+    if unknown:
+        raise ValueError(f"{unknown[0]}: unknown key")
+    fields = dict(obj)
+    for key, kind in (kinds or {}).items():
+        if key in fields and not isinstance(fields[key], kind):
+            raise ValueError(f"{key}: expected {kind.__name__}, got {type(fields[key]).__name__}")
+    for key in pairs:
+        span = fields.get(key)
+        if span is None and key in optional:
+            continue
+        if not (isinstance(span, list) and len(span) == 2):
+            raise ValueError(f"{key}: expected [lo, hi]")
+        fields[key] = Interval(_require_number(span[0], f"{key}[0]"),
+                               _require_number(span[1], f"{key}[1]"))
+    return fields
 
 
 def interval_add(a: Interval, b: Interval) -> Interval:
@@ -121,33 +158,16 @@ class FootprintProfile:
     @classmethod
     def from_json_obj(cls, name: str, obj: dict) -> "FootprintProfile":
         """Build a profile from its JSON object form; unknown keys are rejected."""
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected an object, got {type(obj).__name__}")
-        required = {
-            "rate_wh_per_ktok",
-            "pue",
-            "wue_l_per_kwh",
-            "emission_factor_g_per_kwh",
-            "co2_per_prompt_g",
-        }
-        for key in required:
-            if key not in obj:
-                raise ValueError(f"{key}: missing required key")
-        unknown = sorted(set(obj) - required)
-        if unknown:
-            raise ValueError(f"{unknown[0]}: unknown key")
-        wue = obj["wue_l_per_kwh"]
-        if not (isinstance(wue, list) and len(wue) == 2):
-            raise ValueError("wue_l_per_kwh: expected [lo, hi]")
+        fields = _json_fields(obj, ("rate_wh_per_ktok", "pue", "wue_l_per_kwh",
+                                    "emission_factor_g_per_kwh", "co2_per_prompt_g"),
+                              pairs=("wue_l_per_kwh",))
         return cls(
             name=name,
-            rate=EnergyRate(_require_number(obj["rate_wh_per_ktok"], "rate_wh_per_ktok")),
-            pue=_require_number(obj["pue"], "pue"),
-            wue=Interval(_require_number(wue[0], "wue_l_per_kwh[0]"),
-                         _require_number(wue[1], "wue_l_per_kwh[1]")),
-            emission_factor_g_per_kwh=_require_number(
-                obj["emission_factor_g_per_kwh"], "emission_factor_g_per_kwh"),
-            co2_per_prompt_g=_require_number(obj["co2_per_prompt_g"], "co2_per_prompt_g"),
+            rate=EnergyRate(_require_number(fields["rate_wh_per_ktok"], "rate_wh_per_ktok")),
+            pue=fields["pue"],
+            wue=fields["wue_l_per_kwh"],
+            emission_factor_g_per_kwh=fields["emission_factor_g_per_kwh"],
+            co2_per_prompt_g=fields["co2_per_prompt_g"],
         )
 
     def to_json_obj(self) -> dict:

@@ -26,6 +26,7 @@ from .core import (
     Interval,
     Water,
     WH_PER_KWH,
+    _json_fields,
     co2_from_energy,
     inference_energy,
     water_from_energy,
@@ -82,22 +83,7 @@ class TokenLedger:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "TokenLedger":
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected an object, got {type(obj).__name__}")
-        allowed = {"document", "prompt", "output", "thinking", "source"}
-        unknown = sorted(set(obj) - allowed)
-        if unknown:
-            raise ValueError(f"{unknown[0]}: unknown key")
-        for key in ("document", "prompt", "output", "thinking"):
-            if key not in obj:
-                raise ValueError(f"{key}: missing required key")
-        return cls(
-            document=obj["document"],
-            prompt=obj["prompt"],
-            output=obj["output"],
-            thinking=obj["thinking"],
-            source=obj.get("source", "measured"),
-        )
+        return cls(**_json_fields(obj, ("document", "prompt", "output", "thinking"), ("source",)))
 
     def to_json_obj(self) -> dict:
         return {

@@ -14,11 +14,10 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
-from .core import FootprintProfile, Interval
+from .core import FootprintProfile, Interval, _json_fields
 from .pipeline import ExtractionResult, ledger_shares
 from .scenarios import (
     DailyFootprint,
@@ -83,12 +82,11 @@ def load_config(path: str | Path) -> Config:
     raw = _load_json(path, "/")
     if not isinstance(raw, dict):
         raise ConfigError("/: expected a JSON object")
-    for key in ("profiles", "scenario_profile", "usecase_profile", "scenarios"):
-        if key not in raw:
-            raise ConfigError(f"/{key}: missing required key")
-    unknown = sorted(set(raw) - {"profiles", "scenario_profile", "usecase_profile", "scenarios"})
-    if unknown:
-        raise ConfigError(f"/{unknown[0]}: unknown key")
+    try:
+        _json_fields(raw, ("profiles", "scenario_profile", "usecase_profile", "scenarios"),
+                     kinds={"scenario_profile": str, "usecase_profile": str, "scenarios": list})
+    except ValueError as exc:
+        raise ConfigError(f"/{exc}") from None
 
     if not isinstance(raw["profiles"], dict) or not raw["profiles"]:
         raise ConfigError("/profiles: expected a non-empty object")
@@ -103,8 +101,6 @@ def load_config(path: str | Path) -> Config:
         if raw[key] not in profiles:
             raise ConfigError(f"/{key}: references unknown profile {raw[key]!r}")
 
-    if not isinstance(raw["scenarios"], list):
-        raise ConfigError("/scenarios: expected a list of file paths")
     scenarios = []
     scenario_raws = []
     seen = set()
@@ -161,7 +157,6 @@ class IncrementalEntry:
 class ReportMetadata:
     profile_name: str
     config_hash: str
-    generated_at: str  # kept in memory only; never serialized into outputs
 
 
 @dataclass(frozen=True)
@@ -215,23 +210,33 @@ def build_bundle(config: Config, baseline: str,
         metadata=ReportMetadata(
             profile_name=config.scenario_profile,
             config_hash=config.config_hash,
-            generated_at=datetime.now(timezone.utc).isoformat(timespec="seconds"),
         ),
         usecase=usecase,
     )
 
 
 @dataclass(frozen=True)
-class _ScenarioRow:
-    name: str
-    operators: tuple[int, int]
-    energy: tuple[Decimal, Decimal]
-    co2: tuple[Decimal, Decimal]
-    water: tuple[Decimal, Decimal]
-    energy_per_doc: float
+class _Table:
+    """One presented table in every output form.
+
+    obj is the JSON form; presented Decimal cells in it are written as
+    floats. csv and markdown are (header, rows) pairs of string cells.
+    """
+
+    obj: dict
+    csv: tuple[list[str], list[list[str]]]
+    markdown: tuple[list[str], list[list[str]]]
 
 
-def _scenario_rows(bundle: ReportBundle) -> list[_ScenarioRow]:
+def _tenth(x: Decimal) -> Decimal:
+    return x.quantize(_TENTH, rounding=ROUND_HALF_UP)
+
+
+def _range_cell(lo, hi) -> str:
+    return f"{lo} -- {hi}"
+
+
+def _scenario_table(bundle: ReportBundle) -> _Table:
     """Presented scenario rows.
 
     CO2 and water cells are derived from the one-decimal energy cell
@@ -240,94 +245,104 @@ def _scenario_rows(bundle: ReportBundle) -> list[_ScenarioRow]:
     energy bound gives 16.2 * 0.30 = 4.86 -> 4.9 L, where the exact
     chain would show 4.8).
     """
+    if not bundle.entries:
+        raise ValueError("no scenarios")
     ef = _dec(bundle.profile.emission_factor_g_per_kwh) / Decimal(1000)
     wue_lo = _dec(bundle.profile.wue.lo)
     wue_hi = _dec(bundle.profile.wue.hi)
-    rows = []
+    rows, csv_rows, md_rows = [], [], []
     for entry in bundle.entries:
         fp = entry.footprint
-        e_lo = present(fp.energy_kwh.lo, 1)
-        e_hi = present(fp.energy_kwh.hi, 1)
-        rows.append(_ScenarioRow(
-            name=entry.name,
-            operators=(int(fp.operators.lo), int(fp.operators.hi)),
-            energy=(e_lo, e_hi),
-            co2=((e_lo * ef).quantize(_TENTH, rounding=ROUND_HALF_UP),
-                 (e_hi * ef).quantize(_TENTH, rounding=ROUND_HALF_UP)),
-            water=((e_lo * wue_lo).quantize(_TENTH, rounding=ROUND_HALF_UP),
-                   (e_hi * wue_hi).quantize(_TENTH, rounding=ROUND_HALF_UP)),
-            energy_per_doc=fp.energy_per_doc_kwh,
-        ))
-    return rows
-
-
-def _scenario_table_obj(bundle: ReportBundle) -> dict:
-    rows = []
-    for row in _scenario_rows(bundle):
+        operators = [int(fp.operators.lo), int(fp.operators.hi)]
+        energy = [present(fp.energy_kwh.lo, 1), present(fp.energy_kwh.hi, 1)]
+        co2 = [_tenth(energy[0] * ef), _tenth(energy[1] * ef)]
+        water = [_tenth(energy[0] * wue_lo), _tenth(energy[1] * wue_hi)]
+        per_doc = f"{fp.energy_per_doc_kwh:.6f}"
         rows.append({
-            "scenario": row.name,
-            "operators": [row.operators[0], row.operators[1]],
-            "energy_kwh_per_day": [float(row.energy[0]), float(row.energy[1])],
-            "co2_kg_per_day": [float(row.co2[0]), float(row.co2[1])],
-            "water_l_per_day": [float(row.water[0]), float(row.water[1])],
-            "energy_per_doc_kwh": row.energy_per_doc,
+            "scenario": entry.name,
+            "operators": operators,
+            "energy_kwh_per_day": energy,
+            "co2_kg_per_day": co2,
+            "water_l_per_day": water,
+            "energy_per_doc_kwh": fp.energy_per_doc_kwh,
         })
-    return {"table": "scenario_table", "rows": rows}
+        cells = (operators, energy, co2, water)
+        csv_rows.append([entry.name, *(str(v) for pair in cells for v in pair), per_doc])
+        md_rows.append([entry.name, *(_range_cell(*pair) for pair in cells), per_doc])
+    csv_header = ["scenario", "operators_lo", "operators_hi",
+                  "energy_kwh_lo", "energy_kwh_hi", "co2_kg_lo", "co2_kg_hi",
+                  "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
+    md_header = ["Scenario", "Operators", "Energy (kWh/day)", "CO2 (kg/day)",
+                 "Water (L/day)", "Energy per doc (kWh)"]
+    return _Table({"table": "scenario_table", "rows": rows},
+                  (csv_header, csv_rows), (md_header, md_rows))
 
 
-def _reduction_rows(bundle: ReportBundle) -> list[dict]:
-    metrics = (
-        ("energy", "energy_reduction_pct", "energy_pct"),
-        ("co2", "co2_reduction_pct", "co2_pct"),
-        ("water", "water_reduction_pct", "water_pct"),
-    )
-    rows = []
-    for metric, reduction_attr, increase_attr in metrics:
-        reductions = {}
-        for entry in bundle.comparisons:
-            iv = getattr(entry.comparison, reduction_attr)
-            reductions[entry.candidate] = (present_pct(iv.lo), present_pct(iv.hi))
-        increases = {}
-        for entry in bundle.incrementals:
-            iv = getattr(entry, increase_attr)
-            increases[f"{entry.candidate}_vs_{entry.base}"] = (
-                present_pct(iv.lo), present_pct(iv.hi))
+def _pct_pair(iv: Interval) -> list[int]:
+    return [present_pct(iv.lo), present_pct(iv.hi)]
+
+
+def _increase_cell(lo: int, hi: int) -> str:
+    return f"+{lo} -- +{hi}" if lo >= 0 else _range_cell(lo, hi)
+
+
+def _reduction_table(bundle: ReportBundle) -> _Table:
+    if not bundle.entries:
+        raise ValueError("no scenarios")
+    baseline = bundle.baseline
+    reduction_keys = [e.candidate for e in bundle.comparisons]
+    increase_keys = [f"{e.candidate}_vs_{e.base}" for e in bundle.incrementals]
+    rows, csv_rows, md_rows = [], [], []
+    for metric in ("energy", "co2", "water"):
+        reductions = {e.candidate: _pct_pair(getattr(e.comparison, f"{metric}_reduction_pct"))
+                      for e in bundle.comparisons}
+        increases = {f"{e.candidate}_vs_{e.base}": _pct_pair(getattr(e, f"{metric}_pct"))
+                     for e in bundle.incrementals}
         rows.append({"metric": metric, "reductions": reductions, "increases": increases})
-    return rows
+        pairs = [reductions[k] for k in reduction_keys] + [increases[k] for k in increase_keys]
+        csv_rows.append([metric, *(str(v) for pair in pairs for v in pair)])
+        md_rows.append([metric, *(_range_cell(*reductions[k]) for k in reduction_keys),
+                        *(_increase_cell(*increases[k]) for k in increase_keys)])
+    csv_header = ["metric"]
+    for key in reduction_keys:
+        csv_header += [f"{key}_vs_{baseline}_reduction_lo", f"{key}_vs_{baseline}_reduction_hi"]
+    for key in increase_keys:
+        csv_header += [f"{key}_increase_lo", f"{key}_increase_hi"]
+    md_header = ["Metric"]
+    md_header += [f"{key} vs {baseline} (reduction %)" for key in reduction_keys]
+    md_header += [f"{key.replace('_vs_', ' vs ')} (increase %)" for key in increase_keys]
+    return _Table({"table": "reduction_table", "baseline": baseline, "rows": rows},
+                  (csv_header, csv_rows), (md_header, md_rows))
 
 
-def _reduction_table_obj(bundle: ReportBundle) -> dict:
-    rows = []
-    for row in _reduction_rows(bundle):
-        rows.append({
-            "metric": row["metric"],
-            "reductions": {k: list(v) for k, v in row["reductions"].items()},
-            "increases": {k: list(v) for k, v in row["increases"].items()},
-        })
-    return {"table": "reduction_table", "baseline": bundle.baseline, "rows": rows}
+def _token_table(bundle: ReportBundle) -> _Table:
+    if bundle.usecase is None:
+        raise ValueError("no usecase data in bundle")
+    ledger = bundle.usecase.ledger
+    shares = ledger_shares(ledger)
+    rows = [{"component": name, "tokens": getattr(ledger, name), "share_pct": share}
+            for name, share in shares.items()]
+    total = ledger.total()
+    total_share = float(sum(_dec(share) for share in shares.values()))
+    obj = {"table": "token_table", "source": ledger.source, "rows": rows,
+           "total_tokens": total, "total_share_pct": total_share}
+    csv_rows = [[r["component"], str(r["tokens"]), str(r["share_pct"])] for r in rows]
+    md_rows = [[r["component"], f"{r['tokens']:,}", str(r["share_pct"])] for r in rows]
+    return _Table(obj, (["component", "tokens", "share_pct"],
+                        csv_rows + [["total", str(total), str(total_share)]]),
+                  (["Component", "Tokens", "Share (%)"],
+                   md_rows + [["TOTAL", f"{total:,}", str(total_share)]]))
 
 
-def _token_rows(result: ExtractionResult) -> tuple[list[dict], int, float]:
-    shares = ledger_shares(result.ledger)
-    rows = [{"component": name, "tokens": getattr(result.ledger, name),
-             "share_pct": shares[name]}
-            for name in ("document", "prompt", "output", "thinking")]
-    total_share = float(sum(_dec(shares[name]) for name in shares))
-    return rows, result.ledger.total(), total_share
+_BUILDERS = {"scenario_table": _scenario_table, "reduction_table": _reduction_table,
+             "token_table": _token_table}
 
 
-def _token_table_obj(bundle: ReportBundle) -> dict:
-    rows, total, total_share = _token_rows(bundle.usecase)
-    return {
-        "table": "token_table",
-        "source": bundle.usecase.ledger.source,
-        "rows": rows,
-        "total_tokens": total,
-        "total_share_pct": total_share,
-    }
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, default=float) + "\n"
 
 
-def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
+def _markdown_text(header: list[str], rows: list[list[str]]) -> str:
     lines = ["| " + " | ".join(header) + " |",
              "| " + " | ".join("---" for _ in header) + " |"]
     for row in rows:
@@ -335,16 +350,12 @@ def _markdown_table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_table(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     return buf.getvalue()
-
-
-def _range_cell(lo, hi) -> str:
-    return f"{lo} -- {hi}"
 
 
 def emit_table(bundle: ReportBundle, which: str, fmt: str = "markdown") -> str:
@@ -357,97 +368,22 @@ def emit_table(bundle: ReportBundle, which: str, fmt: str = "markdown") -> str:
         raise ValueError(f"unknown table {which!r}; choices: {', '.join(TABLES)}")
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choices: {', '.join(FORMATS)}")
-    if which in ("scenario_table", "reduction_table") and not bundle.entries:
-        raise ValueError("no scenarios")
-    if which == "token_table" and bundle.usecase is None:
-        raise ValueError("no usecase data in bundle")
-
-    if which == "scenario_table":
-        rows = _scenario_rows(bundle)
-        if fmt == "json":
-            return json.dumps(_scenario_table_obj(bundle), indent=2) + "\n"
-        if fmt == "csv":
-            header = ["scenario", "operators_lo", "operators_hi",
-                      "energy_kwh_lo", "energy_kwh_hi", "co2_kg_lo", "co2_kg_hi",
-                      "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
-            data = [[r.name, str(r.operators[0]), str(r.operators[1]),
-                     str(r.energy[0]), str(r.energy[1]), str(r.co2[0]), str(r.co2[1]),
-                     str(r.water[0]), str(r.water[1]), f"{r.energy_per_doc:.6f}"]
-                    for r in rows]
-            return _csv_table(header, data)
-        header = ["Scenario", "Operators", "Energy (kWh/day)", "CO2 (kg/day)",
-                  "Water (L/day)", "Energy per doc (kWh)"]
-        data = [[r.name, _range_cell(r.operators[0], r.operators[1]),
-                 _range_cell(r.energy[0], r.energy[1]), _range_cell(r.co2[0], r.co2[1]),
-                 _range_cell(r.water[0], r.water[1]), f"{r.energy_per_doc:.6f}"]
-                for r in rows]
-        return _markdown_table(header, data)
-
-    if which == "reduction_table":
-        rows = _reduction_rows(bundle)
-        if fmt == "json":
-            return json.dumps(_reduction_table_obj(bundle), indent=2) + "\n"
-        reduction_keys = [e.candidate for e in bundle.comparisons]
-        increase_keys = [f"{e.candidate}_vs_{e.base}" for e in bundle.incrementals]
-        if fmt == "csv":
-            header = ["metric"]
-            for key in reduction_keys:
-                header += [f"{key}_vs_{bundle.baseline}_reduction_lo",
-                           f"{key}_vs_{bundle.baseline}_reduction_hi"]
-            for key in increase_keys:
-                header += [f"{key}_increase_lo", f"{key}_increase_hi"]
-            data = []
-            for row in rows:
-                cells = [row["metric"]]
-                for key in reduction_keys:
-                    cells += [str(v) for v in row["reductions"][key]]
-                for key in increase_keys:
-                    cells += [str(v) for v in row["increases"][key]]
-                data.append(cells)
-            return _csv_table(header, data)
-        header = ["Metric"]
-        header += [f"{key} vs {bundle.baseline} (reduction %)" for key in reduction_keys]
-        header += [f"{key.replace('_vs_', ' vs ')} (increase %)" for key in increase_keys]
-        data = []
-        for row in rows:
-            cells = [row["metric"]]
-            for key in reduction_keys:
-                lo, hi = row["reductions"][key]
-                cells.append(_range_cell(lo, hi))
-            for key in increase_keys:
-                lo, hi = row["increases"][key]
-                cells.append(f"+{lo} -- +{hi}" if lo >= 0 else _range_cell(lo, hi))
-            data.append(cells)
-        return _markdown_table(header, data)
-
-    # token_table
-    rows, total, total_share = _token_rows(bundle.usecase)
+    table = _BUILDERS[which](bundle)
     if fmt == "json":
-        return json.dumps(_token_table_obj(bundle), indent=2) + "\n"
+        return _json_text(table.obj)
     if fmt == "csv":
-        header = ["component", "tokens", "share_pct"]
-        data = [[r["component"], str(r["tokens"]), str(r["share_pct"])] for r in rows]
-        data.append(["total", str(total), str(total_share)])
-        return _csv_table(header, data)
-    header = ["Component", "Tokens", "Share (%)"]
-    data = [[r["component"], f"{r['tokens']:,}", str(r["share_pct"])] for r in rows]
-    data.append(["TOTAL", f"{total:,}", str(total_share)])
-    return _markdown_table(header, data)
+        return _csv_text(*table.csv)
+    return _markdown_text(*table.markdown)
 
 
 def plot_data_obj(bundle: ReportBundle) -> list[dict]:
     """Series records (scenario x metric) carrying the presented bounds."""
-    if not bundle.entries:
-        raise ValueError("no scenarios")
     records = []
-    for row in _scenario_rows(bundle):
-        for metric, (lo, hi) in (
-            ("energy_kwh_per_day", row.energy),
-            ("co2_kg_per_day", row.co2),
-            ("water_l_per_day", row.water),
-        ):
+    for row in _scenario_table(bundle).obj["rows"]:
+        for metric in ("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"):
+            lo, hi = row[metric]
             records.append({
-                "scenario": row.name,
+                "scenario": row["scenario"],
                 "metric": metric,
                 "lo": float(lo),
                 "hi": float(hi),
@@ -457,7 +393,7 @@ def plot_data_obj(bundle: ReportBundle) -> list[dict]:
 
 
 def emit_plot_data(bundle: ReportBundle) -> str:
-    return json.dumps(plot_data_obj(bundle), indent=2) + "\n"
+    return _json_text(plot_data_obj(bundle))
 
 
 def emit_bundle_json(bundle: ReportBundle) -> str:
@@ -467,10 +403,10 @@ def emit_bundle_json(bundle: ReportBundle) -> str:
             "profile": bundle.metadata.profile_name,
             "config_hash": bundle.metadata.config_hash,
         },
-        "scenario_table": _scenario_table_obj(bundle),
-        "reduction_table": _reduction_table_obj(bundle),
+        "scenario_table": _scenario_table(bundle).obj,
+        "reduction_table": _reduction_table(bundle).obj,
         "plot_data": plot_data_obj(bundle),
     }
     if bundle.usecase is not None:
-        obj["token_table"] = _token_table_obj(bundle)
-    return json.dumps(obj, indent=2) + "\n"
+        obj["token_table"] = _token_table(bundle).obj
+    return _json_text(obj)

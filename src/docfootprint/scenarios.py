@@ -15,6 +15,7 @@ from decimal import Decimal
 from .core import (
     FootprintProfile,
     Interval,
+    _json_fields,
     _require_number,
     interval_add,
     interval_scale,
@@ -52,25 +53,10 @@ class WorkforceParams:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WorkforceParams":
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected an object, got {type(obj).__name__}")
-        allowed = {"shift_hours", "productive_hours", "buffer",
-                   "per_doc_time_s", "laptop_kwh_per_day"}
-        unknown = sorted(set(obj) - allowed)
-        if unknown:
-            raise ValueError(f"{unknown[0]}: unknown key")
-        if "per_doc_time_s" not in obj:
-            raise ValueError("per_doc_time_s: missing required key")
-        span = obj["per_doc_time_s"]
-        if not (isinstance(span, list) and len(span) == 2):
-            raise ValueError("per_doc_time_s: expected [lo, hi]")
-        kwargs = {"per_doc_time_s": Interval(
-            _require_number(span[0], "per_doc_time_s[0]"),
-            _require_number(span[1], "per_doc_time_s[1]"))}
-        for name in ("shift_hours", "productive_hours", "buffer", "laptop_kwh_per_day"):
-            if name in obj:
-                kwargs[name] = _require_number(obj[name], name)
-        return cls(**kwargs)
+        return cls(**_json_fields(
+            obj, ("per_doc_time_s",),
+            ("shift_hours", "productive_hours", "buffer", "laptop_kwh_per_day"),
+            pairs=("per_doc_time_s",)))
 
     def to_json_obj(self) -> dict:
         return {
@@ -112,7 +98,8 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("scenario name must be a non-empty string")
-        if isinstance(self.daily_volume, bool) or not isinstance(self.daily_volume, int):
+        _require_number(self.daily_volume, "daily_volume")
+        if not isinstance(self.daily_volume, int):
             raise ValueError("daily_volume must be an integer")
         if self.daily_volume < 0:
             raise ValueError("daily_volume must be >= 0")
@@ -128,37 +115,19 @@ class Scenario:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Scenario":
-        if not isinstance(obj, dict):
-            raise ValueError(f"expected an object, got {type(obj).__name__}")
-        required = {"name", "daily_volume", "workforce", "stages",
-                    "overhead_kwh_per_day", "operators_override"}
-        for key in ("name", "daily_volume", "workforce"):
-            if key not in obj:
-                raise ValueError(f"{key}: missing required key")
-        unknown = sorted(set(obj) - required)
-        if unknown:
-            raise ValueError(f"{unknown[0]}: unknown key")
+        fields = _json_fields(
+            obj, ("name", "daily_volume", "workforce"),
+            ("stages", "overhead_kwh_per_day", "operators_override"),
+            pairs=("operators_override",), kinds={"stages": list})
+        fields["workforce"] = WorkforceParams.from_json_obj(fields["workforce"])
         stages = []
-        for i, raw in enumerate(obj.get("stages", [])):
-            if not isinstance(raw, dict) or set(raw) != {"name", "energy_wh_per_doc"}:
-                raise ValueError(f"stages[{i}]: expected {{name, energy_wh_per_doc}}")
-            stages.append(PipelineStage(raw["name"], _require_number(
-                raw["energy_wh_per_doc"], f"stages[{i}].energy_wh_per_doc")))
-        override = obj.get("operators_override")
-        if override is not None:
-            if not (isinstance(override, list) and len(override) == 2):
-                raise ValueError("operators_override: expected [lo, hi] or null")
-            override = Interval(_require_number(override[0], "operators_override[0]"),
-                                _require_number(override[1], "operators_override[1]"))
-        return cls(
-            name=obj["name"],
-            daily_volume=obj["daily_volume"],
-            workforce=WorkforceParams.from_json_obj(obj["workforce"]),
-            stages=tuple(stages),
-            overhead_kwh_per_day=_require_number(
-                obj.get("overhead_kwh_per_day", 0.0), "overhead_kwh_per_day"),
-            operators_override=override,
-        )
+        for i, raw in enumerate(fields.get("stages", ())):
+            try:
+                stages.append(PipelineStage(**_json_fields(raw, ("name", "energy_wh_per_doc"))))
+            except ValueError as exc:
+                raise ValueError(f"stages[{i}]: {exc}") from None
+        fields["stages"] = tuple(stages)
+        return cls(**fields)
 
     def to_json_obj(self) -> dict:
         override = self.operators_override
@@ -215,19 +184,14 @@ def operators_required(volume: int, throughput: Interval, buffer: float) -> Inte
     return Interval(float(lo), float(hi))
 
 
-def cloud_energy_per_doc(stages: list[PipelineStage] | tuple[PipelineStage, ...],
-                         pue: float = 1.0) -> float:
+def cloud_energy_per_doc(stages: list[PipelineStage] | tuple[PipelineStage, ...]) -> float:
     """Summed per-document stage energy, in kWh.
 
     Stage energies are facility-side figures and are summed as given;
-    pue is validated for interface parity but intentionally not applied
-    (a stage defined from an IT-side number should be expanded with
-    apply_pue before it is put in a stage list). Summation is done in
+    a stage defined from an IT-side number should be expanded with
+    apply_pue before it is put in a stage list. Summation is done in
     decimal so that stage order can never perturb the result.
     """
-    pue = _require_number(pue, "pue")
-    if pue < 1.0:
-        raise ValueError(f"pue >= 1 required, got {pue}")
     if not stages:
         return 0.0
     total_wh = sum(Decimal(repr(s.energy_wh_per_doc)) for s in stages)
@@ -247,7 +211,7 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
         operators = operators_required(
             s.daily_volume, docs_per_operator_day(s.workforce), s.workforce.buffer)
     laptop = interval_scale(operators, s.workforce.laptop_kwh_per_day)
-    per_doc_kwh = cloud_energy_per_doc(s.stages, profile.pue)
+    per_doc_kwh = cloud_energy_per_doc(s.stages)
     cloud = per_doc_kwh * s.daily_volume
     energy = interval_add(
         interval_add(laptop, Interval.point(cloud)),
@@ -270,13 +234,21 @@ class ScenarioComparison:
     water_reduction_pct: Interval
 
 
-def _reduction_pct(baseline: Interval, candidate: Interval) -> Interval:
-    if baseline.lo <= 0 or baseline.hi <= 0:
+def increase_pct(base: Interval, candidate: Interval) -> Interval:
+    """Endpoint-matched percentage increase of one interval over another."""
+    if base.lo <= 0 or base.hi <= 0:
         raise ValueError("zero baseline")
     # Endpoint-matched ratios; the pair need not arrive ordered, so sort.
-    at_hi = (1.0 - candidate.hi / baseline.hi) * 100.0
-    at_lo = (1.0 - candidate.lo / baseline.lo) * 100.0
+    at_hi = (candidate.hi / base.hi - 1.0) * 100.0
+    at_lo = (candidate.lo / base.lo - 1.0) * 100.0
     return Interval(min(at_hi, at_lo), max(at_hi, at_lo))
+
+
+def _reduction_pct(baseline: Interval, candidate: Interval) -> Interval:
+    # (1 - r) * 100 is bit-identical to 0.0 - (r - 1) * 100; subtracting
+    # from 0.0 rather than negating keeps an equal pair at +0.0.
+    inc = increase_pct(baseline, candidate)
+    return Interval(0.0 - inc.hi, 0.0 - inc.lo)
 
 
 def compare_scenarios(baseline: DailyFootprint, candidate: DailyFootprint) -> ScenarioComparison:
@@ -290,17 +262,4 @@ def compare_scenarios(baseline: DailyFootprint, candidate: DailyFootprint) -> Sc
 
 def incremental_cost(base: DailyFootprint, candidate: DailyFootprint) -> Interval:
     """Energy cost increase of candidate over base, in percent (endpoint-matched)."""
-    if base.energy_kwh.lo <= 0 or base.energy_kwh.hi <= 0:
-        raise ValueError("zero baseline")
-    at_hi = (candidate.energy_kwh.hi / base.energy_kwh.hi - 1.0) * 100.0
-    at_lo = (candidate.energy_kwh.lo / base.energy_kwh.lo - 1.0) * 100.0
-    return Interval(min(at_hi, at_lo), max(at_hi, at_lo))
-
-
-def increase_pct(base: Interval, candidate: Interval) -> Interval:
-    """Endpoint-matched percentage increase of one interval over another."""
-    if base.lo <= 0 or base.hi <= 0:
-        raise ValueError("zero baseline")
-    at_hi = (candidate.hi / base.hi - 1.0) * 100.0
-    at_lo = (candidate.lo / base.lo - 1.0) * 100.0
-    return Interval(min(at_hi, at_lo), max(at_hi, at_lo))
+    return increase_pct(base.energy_kwh, candidate.energy_kwh)

@@ -1,7 +1,13 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import docfootprint
 from docfootprint.cli import main
 
 
@@ -165,3 +171,51 @@ def test_outputs_byte_identical_across_runs(tmp_path):
 def test_no_subcommand_shows_help(capsys):
     assert main([]) == 2
     assert "COMMAND" in capsys.readouterr().err
+
+
+def _config_copy(tmp_path, data_dir, edit_config=None, edit_manual=None):
+    """Copy the bundled config and scenarios into tmp_path, editing two of the files."""
+    shutil.copytree(data_dir / "scenarios", tmp_path / "scenarios")
+    config = json.loads((data_dir / "config.json").read_text())
+    manual = json.loads((data_dir / "scenarios" / "manual.json").read_text())
+    if edit_config:
+        edit_config(config)
+    if edit_manual:
+        edit_manual(manual)
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    (tmp_path / "scenarios" / "manual.json").write_text(json.dumps(manual))
+    return tmp_path / "config.json"
+
+
+@pytest.mark.parametrize("edit_config, edit_manual", [
+    (lambda c: c.update(scenario_profile=[]), None),
+    (None, lambda s: s.update(stages=5)),
+    (None, lambda s: s.update(stages=None)),
+    (None, lambda s: s.update(daily_volume=10 ** 400)),
+    (lambda c: c["profiles"]["flash-prompt-2025"].update(pue=10 ** 400), None),
+], ids=["profile-binding-list", "stages-int", "stages-null", "huge-volume", "huge-pue"])
+def test_malformed_config_is_an_input_error(tmp_path, data_dir, capsys,
+                                            edit_config, edit_manual):
+    config = _config_copy(tmp_path, data_dir, edit_config, edit_manual)
+    code = main(["scenario-compare", "--config", str(config), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: /") and err.count("\n") == 1
+
+
+def test_missing_key_error_independent_of_hash_seed(tmp_path, data_dir):
+    def drop_two(config):
+        profile = config["profiles"]["flash-prompt-2025"]
+        del profile["pue"], profile["co2_per_prompt_g"]
+    config = _config_copy(tmp_path, data_dir, edit_config=drop_two)
+    src_root = str(Path(docfootprint.__file__).resolve().parents[1])
+    errors = set()
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src_root}
+        proc = subprocess.run(
+            [sys.executable, "-m", "docfootprint.cli", "scenario-compare",
+             "--config", str(config), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 2
+        errors.add(proc.stderr)
+    assert errors == {"error: /profiles/flash-prompt-2025: pue: missing required key\n"}

@@ -186,7 +186,7 @@ def test_emit_empty_bundle(bundle):
     empty = ReportBundle(
         entries=(), baseline="manual", comparisons=(), incrementals=(),
         profile=bundle.profile,
-        metadata=ReportMetadata("p", "0" * 64, "2026-01-01T00:00:00+00:00"))
+        metadata=ReportMetadata("p", "0" * 64))
     with pytest.raises(ValueError, match="no scenarios"):
         emit_table(empty, "scenario_table", "markdown")
 

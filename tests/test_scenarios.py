@@ -82,18 +82,13 @@ def test_cloud_energy_per_doc():
     base = PipelineStage("base-model", 0.545)
     assert cloud_energy_per_doc([base]) == 0.000545
     stages = [base, PipelineStage("parser", 0.3), PipelineStage("verifier", 0.5)]
-    assert cloud_energy_per_doc(stages, 1.09) == 0.001345
+    assert cloud_energy_per_doc(stages) == 0.001345
     assert cloud_energy_per_doc([]) == 0.0
 
 
 def test_cloud_energy_per_doc_order_independent():
     stages = [PipelineStage("a", 0.545), PipelineStage("b", 0.3), PipelineStage("c", 0.5)]
     assert cloud_energy_per_doc(stages) == cloud_energy_per_doc(list(reversed(stages)))
-
-
-def test_cloud_energy_per_doc_rejects_low_pue():
-    with pytest.raises(ValueError, match="pue >= 1"):
-        cloud_energy_per_doc([], 0.5)
 
 
 def _by_name(config, name):
