@@ -98,6 +98,7 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("scenario name must be a non-empty string")
+        # Rejects bools and integers too large for the float arithmetic below.
         _require_number(self.daily_volume, "daily_volume")
         if not isinstance(self.daily_volume, int):
             raise ValueError("daily_volume must be an integer")
