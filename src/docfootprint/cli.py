@@ -29,6 +29,8 @@ from .pipeline import (
     run_pipeline,
 )
 from .reporting import (
+    FORMATS,
+    TABLES,
     build_bundle,
     emit_bundle_json,
     emit_plot_data,
@@ -121,10 +123,10 @@ def _usecase_report_obj(profile, result) -> dict:
 
 def _cmd_usecase_run(args) -> int:
     config, profile, result = _run_usecase(args)
+    report = json.dumps(_usecase_report_obj(profile, result), indent=2) + "\n"
     out_dir = Path(args.out)
     _write(out_dir, "extraction_output.json", render_output_json(result.items))
-    _write(out_dir, "usecase_report.json",
-           json.dumps(_usecase_report_obj(profile, result), indent=2) + "\n")
+    _write(out_dir, "usecase_report.json", report)
     failures = [r for r in result.verification if not r.ok]
     if failures:
         for record in failures:
@@ -162,7 +164,7 @@ def _cmd_report_emit(args) -> int:
     bundle = build_bundle(config, args.baseline, usecase=result)
     out_dir = Path(args.out)
     ext = _TABLE_EXT[args.format]
-    for table in ("scenario_table", "reduction_table", "token_table"):
+    for table in TABLES:
         _write(out_dir, f"{table}.{ext}", emit_table(bundle, table, args.format))
     _write(out_dir, "plot_data.json", emit_plot_data(bundle))
     _write(out_dir, "bundle.json", emit_bundle_json(bundle))
@@ -198,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common_config(p)
     p.add_argument("--baseline", default="manual", help="baseline scenario name")
     p.add_argument("--out", default="reports", help="output directory")
-    p.add_argument("--format", default="markdown", choices=["markdown", "csv", "json"])
+    p.add_argument("--format", default="markdown", choices=FORMATS)
     p.set_defaults(func=_cmd_scenario_compare)
 
     p = sub.add_parser("usecase-run",
@@ -226,7 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_usecase_inputs(p)
     p.add_argument("--baseline", default="manual", help="baseline scenario name")
     p.add_argument("--out", default="reports", help="output directory")
-    p.add_argument("--format", default="markdown", choices=["markdown", "csv", "json"])
+    p.add_argument("--format", default="markdown", choices=FORMATS)
     p.set_defaults(func=_cmd_report_emit)
 
     return parser

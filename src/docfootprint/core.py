@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 WH_PER_KWH = 1000.0
 
+# Ceiling on any token count. It keeps every figure derived from a count
+# finite and within the 28 digits that presentation rounding works in.
+_MAX_TOKENS = 10 ** 15
+
 
 def _require_number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -24,6 +28,15 @@ def _require_number(value, name: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{name}: must be finite, got {value!r}")
     return value
+
+
+def _require_tokens(value, name: str) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0")
+    if value > _MAX_TOKENS:
+        raise ValueError(f"{name} must be <= 10**15")
 
 
 @dataclass(frozen=True)
@@ -180,64 +193,37 @@ class FootprintProfile:
         }
 
 
-def _check_non_negative(value: float | Interval, what: str) -> None:
-    low = value.lo if isinstance(value, Interval) else value
-    if low < 0:
-        raise ValueError(f"{what} must be non-negative")
-
-
 @dataclass(frozen=True)
 class Energy:
-    """An amount of energy; canonical unit is kilowatt-hours."""
+    """An amount of energy in kilowatt-hours."""
 
-    kwh: float | Interval
+    kwh: float
 
     def __post_init__(self):
-        _check_non_negative(self.kwh, "energy")
-
-    @classmethod
-    def from_wh(cls, wh: float | Interval) -> "Energy":
-        if isinstance(wh, Interval):
-            return cls(Interval(wh.lo / WH_PER_KWH, wh.hi / WH_PER_KWH))
-        return cls(wh / WH_PER_KWH)
-
-    @property
-    def wh(self) -> float | Interval:
-        if isinstance(self.kwh, Interval):
-            return interval_scale(self.kwh, WH_PER_KWH)
-        return self.kwh * WH_PER_KWH
+        if self.kwh < 0:
+            raise ValueError("energy must be non-negative")
 
 
 @dataclass(frozen=True)
 class Carbon:
-    """A mass of CO2; canonical unit is grams."""
+    """A mass of CO2 in grams."""
 
-    grams: float | Interval
+    grams: float
 
     def __post_init__(self):
-        _check_non_negative(self.grams, "carbon")
-
-    @property
-    def kg(self) -> float | Interval:
-        if isinstance(self.grams, Interval):
-            return Interval(self.grams.lo / 1000.0, self.grams.hi / 1000.0)
-        return self.grams / 1000.0
+        if self.grams < 0:
+            raise ValueError("carbon must be non-negative")
 
 
 @dataclass(frozen=True)
 class Water:
-    """A volume of water; canonical unit is liters."""
+    """A volume of water in liters, as a range."""
 
-    liters: float | Interval
+    liters: Interval
 
     def __post_init__(self):
-        _check_non_negative(self.liters, "water")
-
-    @property
-    def ml(self) -> float | Interval:
-        if isinstance(self.liters, Interval):
-            return interval_scale(self.liters, 1000.0)
-        return self.liters * 1000.0
+        if self.liters.lo < 0:
+            raise ValueError("water must be non-negative")
 
 
 def inference_energy(tokens: int, rate: EnergyRate) -> float:
@@ -324,8 +310,8 @@ def thinking_delta(base_tokens: int, thinking_tokens: int,
     (thinking / base * 100), which equals the energy ratio under a
     linear rate.
     """
-    if base_tokens < 0 or thinking_tokens < 0:
-        raise ValueError("token counts must be >= 0")
+    _require_tokens(base_tokens, "base_tokens")
+    _require_tokens(thinking_tokens, "thinking_tokens")
     delta_wh = inference_energy(thinking_tokens, profile.rate)
     delta_kwh = delta_wh / WH_PER_KWH
     if base_tokens == 0:

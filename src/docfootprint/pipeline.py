@@ -17,7 +17,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
+from decimal import Decimal, DecimalException, InvalidOperation, ROUND_HALF_UP
 
 from .core import (
     Carbon,
@@ -27,6 +27,7 @@ from .core import (
     Water,
     WH_PER_KWH,
     _json_fields,
+    _require_tokens,
     co2_from_energy,
     inference_energy,
     water_from_energy,
@@ -44,6 +45,11 @@ COMPLEXITY_NORMALIZATION_FACTOR = 1.5
 _ITEM_ROW = re.compile(r"^ITEM\s+\d+\s*\|")
 _CURRENCY = re.compile(r"^[A-Z]{3}$")
 _CENT = Decimal("0.01")
+# Parsed amounts stay below this magnitude after abs() rounds them to 28
+# digits (abs() past the exponent range raises Overflow, also rejected), so
+# quantity * unit_price stays below 10**26 - 0.01 and the cent rounding in
+# verify_items fits Decimal's default 28 digits.
+_MAX_AMOUNT = Decimal(10) ** 13
 
 
 class InvoiceParseError(ValueError):
@@ -67,9 +73,7 @@ class TokenLedger:
 
     def __post_init__(self):
         for name in ("document", "prompt", "output", "thinking"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer")
+            _require_tokens(getattr(self, name), name)
         if self.source not in LEDGER_SOURCES:
             raise ValueError(f"source must be one of {LEDGER_SOURCES}")
 
@@ -149,7 +153,9 @@ def _parse_decimal(raw: str, line_number: int, what: str) -> Decimal:
     cleaned = raw.strip().replace(",", "")
     try:
         value = Decimal(cleaned)
-    except InvalidOperation:
+        if not value.is_finite() or abs(value) >= _MAX_AMOUNT:
+            raise InvalidOperation
+    except DecimalException:
         raise InvoiceParseError(line_number, f"bad {what}: {raw.strip()!r}") from None
     if value < 0:
         raise InvoiceParseError(line_number, f"negative {what}: {raw.strip()!r}")

@@ -18,11 +18,10 @@ from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
 from .core import FootprintProfile, Interval, _json_fields
-from .pipeline import ExtractionResult, ledger_shares
+from .pipeline import ExtractionResult, TokenLedger, ledger_shares
 from .scenarios import (
     DailyFootprint,
     Scenario,
-    ScenarioComparison,
     compare_scenarios,
     evaluate_scenario,
     increase_pct,
@@ -133,89 +132,6 @@ def load_config(path: str | Path) -> Config:
 
 
 @dataclass(frozen=True)
-class ScenarioEntry:
-    name: str
-    footprint: DailyFootprint
-
-
-@dataclass(frozen=True)
-class ComparisonEntry:
-    candidate: str
-    comparison: ScenarioComparison
-
-
-@dataclass(frozen=True)
-class IncrementalEntry:
-    base: str
-    candidate: str
-    energy_pct: Interval
-    co2_pct: Interval
-    water_pct: Interval
-
-
-@dataclass(frozen=True)
-class ReportMetadata:
-    profile_name: str
-    config_hash: str
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    entries: tuple[ScenarioEntry, ...]
-    baseline: str
-    comparisons: tuple[ComparisonEntry, ...]
-    incrementals: tuple[IncrementalEntry, ...]
-    profile: FootprintProfile
-    metadata: ReportMetadata
-    usecase: ExtractionResult | None = None
-
-
-def build_bundle(config: Config, baseline: str,
-                 usecase: ExtractionResult | None = None) -> ReportBundle:
-    """Evaluate every scenario and compare the rest against the baseline.
-
-    Consecutive non-baseline scenarios additionally get incremental
-    cost records (each candidate against the one before it).
-    """
-    names = [s.name for s in config.scenarios]
-    if baseline not in names:
-        raise ValueError(f"unknown scenario {baseline!r}; choices: {', '.join(names)}")
-    profile = config.profiles[config.scenario_profile]
-    footprints = {s.name: evaluate_scenario(s, profile) for s in config.scenarios}
-
-    comparisons = []
-    candidates = [n for n in names if n != baseline]
-    for name in candidates:
-        comparisons.append(ComparisonEntry(
-            candidate=name,
-            comparison=compare_scenarios(footprints[baseline], footprints[name])))
-
-    incrementals = []
-    for prev, nxt in zip(candidates, candidates[1:]):
-        base_fp, cand_fp = footprints[prev], footprints[nxt]
-        incrementals.append(IncrementalEntry(
-            base=prev,
-            candidate=nxt,
-            energy_pct=increase_pct(base_fp.energy_kwh, cand_fp.energy_kwh),
-            co2_pct=increase_pct(base_fp.co2_kg, cand_fp.co2_kg),
-            water_pct=increase_pct(base_fp.water_l, cand_fp.water_l),
-        ))
-
-    return ReportBundle(
-        entries=tuple(ScenarioEntry(n, footprints[n]) for n in names),
-        baseline=baseline,
-        comparisons=tuple(comparisons),
-        incrementals=tuple(incrementals),
-        profile=profile,
-        metadata=ReportMetadata(
-            profile_name=config.scenario_profile,
-            config_hash=config.config_hash,
-        ),
-        usecase=usecase,
-    )
-
-
-@dataclass(frozen=True)
 class _Table:
     """One presented table in every output form.
 
@@ -228,6 +144,35 @@ class _Table:
     markdown: tuple[list[str], list[list[str]]]
 
 
+@dataclass(frozen=True)
+class ReportBundle:
+    """The presented tables of one report, keyed by table name."""
+
+    profile_name: str
+    config_hash: str
+    tables: dict[str, _Table]
+
+
+def build_bundle(config: Config, baseline: str,
+                 usecase: ExtractionResult | None = None) -> ReportBundle:
+    """Evaluate every scenario and build each presented table once.
+
+    The token table is present only when a usecase result is given.
+    """
+    names = [s.name for s in config.scenarios]
+    if baseline not in names:
+        raise ValueError(f"unknown scenario {baseline!r}; choices: {', '.join(names)}")
+    profile = config.profiles[config.scenario_profile]
+    footprints = {s.name: evaluate_scenario(s, profile) for s in config.scenarios}
+    # Reductions first, so a zero baseline is reported before any
+    # presentation step runs.
+    tables = {"reduction_table": _reduction_table(footprints, baseline),
+              "scenario_table": _scenario_table(footprints, profile)}
+    if usecase is not None:
+        tables["token_table"] = _token_table(usecase.ledger)
+    return ReportBundle(config.scenario_profile, config.config_hash, tables)
+
+
 def _tenth(x: Decimal) -> Decimal:
     return x.quantize(_TENTH, rounding=ROUND_HALF_UP)
 
@@ -236,7 +181,7 @@ def _range_cell(lo, hi) -> str:
     return f"{lo} -- {hi}"
 
 
-def _scenario_table(bundle: ReportBundle) -> _Table:
+def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintProfile) -> _Table:
     """Presented scenario rows.
 
     CO2 and water cells are derived from the one-decimal energy cell
@@ -245,21 +190,18 @@ def _scenario_table(bundle: ReportBundle) -> _Table:
     energy bound gives 16.2 * 0.30 = 4.86 -> 4.9 L, where the exact
     chain would show 4.8).
     """
-    if not bundle.entries:
-        raise ValueError("no scenarios")
-    ef = _dec(bundle.profile.emission_factor_g_per_kwh) / Decimal(1000)
-    wue_lo = _dec(bundle.profile.wue.lo)
-    wue_hi = _dec(bundle.profile.wue.hi)
+    ef = _dec(profile.emission_factor_g_per_kwh) / Decimal(1000)
+    wue_lo = _dec(profile.wue.lo)
+    wue_hi = _dec(profile.wue.hi)
     rows, csv_rows, md_rows = [], [], []
-    for entry in bundle.entries:
-        fp = entry.footprint
+    for name, fp in footprints.items():
         operators = [int(fp.operators.lo), int(fp.operators.hi)]
         energy = [present(fp.energy_kwh.lo, 1), present(fp.energy_kwh.hi, 1)]
         co2 = [_tenth(energy[0] * ef), _tenth(energy[1] * ef)]
         water = [_tenth(energy[0] * wue_lo), _tenth(energy[1] * wue_hi)]
         per_doc = f"{fp.energy_per_doc_kwh:.6f}"
         rows.append({
-            "scenario": entry.name,
+            "scenario": name,
             "operators": operators,
             "energy_kwh_per_day": energy,
             "co2_kg_per_day": co2,
@@ -267,8 +209,8 @@ def _scenario_table(bundle: ReportBundle) -> _Table:
             "energy_per_doc_kwh": fp.energy_per_doc_kwh,
         })
         cells = (operators, energy, co2, water)
-        csv_rows.append([entry.name, *(str(v) for pair in cells for v in pair), per_doc])
-        md_rows.append([entry.name, *(_range_cell(*pair) for pair in cells), per_doc])
+        csv_rows.append([name, *(str(v) for pair in cells for v in pair), per_doc])
+        md_rows.append([name, *(_range_cell(*pair) for pair in cells), per_doc])
     csv_header = ["scenario", "operators_lo", "operators_hi",
                   "energy_kwh_lo", "energy_kwh_hi", "co2_kg_lo", "co2_kg_hi",
                   "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
@@ -286,18 +228,28 @@ def _increase_cell(lo: int, hi: int) -> str:
     return f"+{lo} -- +{hi}" if lo >= 0 else _range_cell(lo, hi)
 
 
-def _reduction_table(bundle: ReportBundle) -> _Table:
-    if not bundle.entries:
-        raise ValueError("no scenarios")
-    baseline = bundle.baseline
-    reduction_keys = [e.candidate for e in bundle.comparisons]
-    increase_keys = [f"{e.candidate}_vs_{e.base}" for e in bundle.incrementals]
+_METRICS = (("energy", "energy_kwh"), ("co2", "co2_kg"), ("water", "water_l"))
+
+
+def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> _Table:
+    """Reductions of every other scenario against the baseline, and the
+    increase of each of those scenarios over the one before it.
+
+    Every ratio is computed before any is presented, so a zero baseline
+    is reported ahead of a presentation failure.
+    """
+    reduction_keys = [n for n in footprints if n != baseline]
+    comparisons = [compare_scenarios(footprints[baseline], footprints[n]) for n in reduction_keys]
+    steps = [(f"{b}_vs_{a}", {metric: increase_pct(getattr(footprints[a], field),
+                                                   getattr(footprints[b], field))
+                              for metric, field in _METRICS})
+             for a, b in zip(reduction_keys, reduction_keys[1:])]
+    increase_keys = [key for key, _ in steps]
     rows, csv_rows, md_rows = [], [], []
-    for metric in ("energy", "co2", "water"):
-        reductions = {e.candidate: _pct_pair(getattr(e.comparison, f"{metric}_reduction_pct"))
-                      for e in bundle.comparisons}
-        increases = {f"{e.candidate}_vs_{e.base}": _pct_pair(getattr(e, f"{metric}_pct"))
-                     for e in bundle.incrementals}
+    for metric, _ in _METRICS:
+        reductions = {n: _pct_pair(getattr(c, f"{metric}_reduction_pct"))
+                      for n, c in zip(reduction_keys, comparisons)}
+        increases = {key: _pct_pair(pcts[metric]) for key, pcts in steps}
         rows.append({"metric": metric, "reductions": reductions, "increases": increases})
         pairs = [reductions[k] for k in reduction_keys] + [increases[k] for k in increase_keys]
         csv_rows.append([metric, *(str(v) for pair in pairs for v in pair)])
@@ -315,10 +267,7 @@ def _reduction_table(bundle: ReportBundle) -> _Table:
                   (csv_header, csv_rows), (md_header, md_rows))
 
 
-def _token_table(bundle: ReportBundle) -> _Table:
-    if bundle.usecase is None:
-        raise ValueError("no usecase data in bundle")
-    ledger = bundle.usecase.ledger
+def _token_table(ledger: TokenLedger) -> _Table:
     shares = ledger_shares(ledger)
     rows = [{"component": name, "tokens": getattr(ledger, name), "share_pct": share}
             for name, share in shares.items()]
@@ -332,10 +281,6 @@ def _token_table(bundle: ReportBundle) -> _Table:
                         csv_rows + [["total", str(total), str(total_share)]]),
                   (["Component", "Tokens", "Share (%)"],
                    md_rows + [["TOTAL", f"{total:,}", str(total_share)]]))
-
-
-_BUILDERS = {"scenario_table": _scenario_table, "reduction_table": _reduction_table,
-             "token_table": _token_table}
 
 
 def _json_text(obj) -> str:
@@ -368,7 +313,9 @@ def emit_table(bundle: ReportBundle, which: str, fmt: str = "markdown") -> str:
         raise ValueError(f"unknown table {which!r}; choices: {', '.join(TABLES)}")
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choices: {', '.join(FORMATS)}")
-    table = _BUILDERS[which](bundle)
+    table = bundle.tables.get(which)
+    if table is None:
+        raise ValueError("no usecase data in bundle")
     if fmt == "json":
         return _json_text(table.obj)
     if fmt == "csv":
@@ -379,7 +326,7 @@ def emit_table(bundle: ReportBundle, which: str, fmt: str = "markdown") -> str:
 def plot_data_obj(bundle: ReportBundle) -> list[dict]:
     """Series records (scenario x metric) carrying the presented bounds."""
     records = []
-    for row in _scenario_table(bundle).obj["rows"]:
+    for row in bundle.tables["scenario_table"].obj["rows"]:
         for metric in ("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"):
             lo, hi = row[metric]
             records.append({
@@ -397,16 +344,17 @@ def emit_plot_data(bundle: ReportBundle) -> str:
 
 
 def emit_bundle_json(bundle: ReportBundle) -> str:
-    """Machine-readable bundle: metadata plus every table it can carry."""
+    """Machine-readable bundle: metadata plus every table it carries."""
+    tables = bundle.tables
     obj = {
         "metadata": {
-            "profile": bundle.metadata.profile_name,
-            "config_hash": bundle.metadata.config_hash,
+            "profile": bundle.profile_name,
+            "config_hash": bundle.config_hash,
         },
-        "scenario_table": _scenario_table(bundle).obj,
-        "reduction_table": _reduction_table(bundle).obj,
+        "scenario_table": tables["scenario_table"].obj,
+        "reduction_table": tables["reduction_table"].obj,
         "plot_data": plot_data_obj(bundle),
     }
-    if bundle.usecase is not None:
-        obj["token_table"] = _token_table(bundle).obj
+    if "token_table" in tables:
+        obj["token_table"] = tables["token_table"].obj
     return _json_text(obj)

@@ -173,6 +173,56 @@ def test_no_subcommand_shows_help(capsys):
     assert "COMMAND" in capsys.readouterr().err
 
 
+_ZERO_LEDGER = {"document": 0, "prompt": 0, "output": 0, "thinking": 0}
+_NINES = int("9" * 400)
+
+
+@pytest.mark.parametrize("argv, ledger, message", [
+    (["usecase-run"], _ZERO_LEDGER, "zero total: shares undefined"),
+    (["report-emit"], _ZERO_LEDGER, "zero total: shares undefined"),
+    (["usecase-run"], dict(_ZERO_LEDGER, document=_NINES), "document must be <= 10**15"),
+    (["report-emit"], dict(_ZERO_LEDGER, document=_NINES), "document must be <= 10**15"),
+    (["thinking-delta", "1", str(10 ** 28)], None, "thinking_tokens must be <= 10**15"),
+    (["thinking-delta", "1", str(_NINES)], None, "thinking_tokens must be <= 10**15"),
+], ids=["usecase-zero-total", "report-zero-total", "usecase-huge-count",
+        "report-huge-count", "thinking-1e28", "thinking-400-digits"])
+def test_bad_token_counts_are_input_errors(tmp_path, capsys, argv, ledger, message):
+    out = tmp_path / "reports"
+    if ledger is not None:
+        path = tmp_path / "ledger.json"
+        path.write_text(json.dumps(ledger))
+        argv = [*argv, "--ledger", str(path), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_counts_at_the_token_ceiling_run(tmp_path):
+    ceiling = 10 ** 15
+    ledger = tmp_path / "ledger.json"
+    ledger.write_text(json.dumps({name: ceiling for name in _ZERO_LEDGER}))
+    assert main(["thinking-delta", str(ceiling), str(ceiling)]) == 0
+    for command in ("usecase-run", "report-emit"):
+        assert main([command, "--ledger", str(ledger), "--out", str(tmp_path / command)]) == 0
+
+
+@pytest.mark.parametrize("column, raw", [
+    ("quantity", "NaN"), ("quantity", "sNaN"), ("quantity", "Infinity"),
+    ("total price", "-Infinity"), ("quantity", "1e26"), ("quantity", "1E+5000"),
+    ("total price", "1E+5000"), ("quantity", "1e1000000"),
+    ("quantity", "9999999999999.999999999999999999"),
+])
+def test_out_of_range_invoice_numbers_are_input_errors(tmp_path, capsys, column, raw):
+    quantity, total = (raw, "0.00") if column == "quantity" else ("1", raw)
+    doc = tmp_path / "invoice.txt"
+    doc.write_text(f"ITEM 01 | Widget | {quantity} | 2.00 | {total} | EUR\n")
+    out = tmp_path / "reports"
+    assert main(["usecase-run", "--document", str(doc), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: parser: line 1: bad {column}: {raw!r}\n"
+    assert not out.exists()
+
+
 def _config_copy(tmp_path, data_dir, edit_config=None, edit_manual=None):
     """Copy the bundled config and scenarios into tmp_path, editing two of the files."""
     shutil.copytree(data_dir / "scenarios", tmp_path / "scenarios")

@@ -106,16 +106,9 @@ def test_profile_json_rejects_unknown_and_missing_keys(flash):
 
 
 def test_quantity_wrappers():
-    e = Energy.from_wh(4.32)
-    assert e.kwh == pytest.approx(0.00432, rel=1e-15)
-    assert e.wh == pytest.approx(4.32, rel=1e-15)
-    c = Carbon(1500.0)
-    assert c.kg == 1.5
-    w = Water(Interval(1.0, 2.0))
-    assert w.ml == Interval(1000.0, 2000.0)
-    for cls in (Energy, Carbon, Water):
+    for cls, negative in ((Energy, -1.0), (Carbon, -1.0), (Water, Interval(-1.0, 1.0))):
         with pytest.raises(ValueError):
-            cls(-1.0)
+            cls(negative)
 
 
 def test_inference_energy_reference_points(flash, usecase_profile):

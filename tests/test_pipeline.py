@@ -111,6 +111,14 @@ def test_verify_items_tolerance_boundary():
     assert verify_items([at_tolerance])[0].ok
 
 
+def test_largest_amounts_verify_and_render():
+    big = "9999999999999.99"
+    items = parse_invoice(f"ITEM 01 | Widget | {big} | {big} | 0.00 | EUR")
+    assert verify_items(items)[0].delta == Decimal("-99999999999999800000000000.00")
+    assert f'"quantity": {big}, "unit_price": {big}, "total_price": 0.00' in \
+        render_output_json(items)
+
+
 def test_verify_items_empty():
     assert verify_items([]) == []
 

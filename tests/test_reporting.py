@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -11,7 +12,7 @@ from docfootprint import (
     load_config,
     run_pipeline,
 )
-from docfootprint.reporting import ReportBundle, ReportMetadata, present, present_pct
+from docfootprint.reporting import present, present_pct
 
 
 @pytest.fixture(scope="module")
@@ -182,15 +183,6 @@ def test_emit_rejects_unknown_table_and_format(bundle):
         emit_table(bundle, "scenario_table", "yaml")
 
 
-def test_emit_empty_bundle(bundle):
-    empty = ReportBundle(
-        entries=(), baseline="manual", comparisons=(), incrementals=(),
-        profile=bundle.profile,
-        metadata=ReportMetadata("p", "0" * 64))
-    with pytest.raises(ValueError, match="no scenarios"):
-        emit_table(empty, "scenario_table", "markdown")
-
-
 def _md_range(cell):
     lo, hi = cell.split(" -- ")
     return [float(lo), float(hi)]
@@ -233,10 +225,8 @@ def test_plot_data(bundle):
         assert record["mid"] == pytest.approx((lo + hi) / 2, abs=1e-9)
 
 
-def test_plot_data_single_scenario(bundle):
-    single = ReportBundle(
-        entries=bundle.entries[:1], baseline="manual", comparisons=(),
-        incrementals=(), profile=bundle.profile, metadata=bundle.metadata)
+def test_plot_data_single_scenario(config):
+    single = build_bundle(dataclasses.replace(config, scenarios=config.scenarios[:1]), "manual")
     assert len(json.loads(emit_plot_data(single))) == 3
 
 
