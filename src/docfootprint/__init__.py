@@ -12,7 +12,6 @@ from .core import (
     EnergyRate,
     FootprintProfile,
     Interval,
-    ThinkingDelta,
     Water,
     apply_pue,
     co2_from_energy,
@@ -24,12 +23,9 @@ from .core import (
     water_from_energy,
 )
 from .pipeline import (
-    ExtractionResult,
-    Footprint,
     InvoiceParseError,
     LineItem,
     TokenLedger,
-    VerificationRecord,
     count_tokens,
     footprint_from_ledger,
     ledger_shares,
@@ -39,11 +35,9 @@ from .pipeline import (
     run_pipeline,
     verify_items,
 )
-from .reference import DEVIATIONS, Deviation, get_deviation
+from .reference import get_deviation
 from .reporting import (
-    Config,
     ConfigError,
-    ReportBundle,
     build_bundle,
     emit_bundle_json,
     emit_plot_data,
@@ -54,7 +48,6 @@ from .scenarios import (
     DailyFootprint,
     PipelineStage,
     Scenario,
-    ScenarioComparison,
     WorkforceParams,
     cloud_energy_per_doc,
     compare_scenarios,
@@ -66,19 +59,19 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
+# What the CLI, the tests and the README example import from the package;
+# the benchmark also reads several of these as package attributes. Result
+# records such as Config or ScenarioComparison stay in their modules.
 __all__ = [
-    "Carbon", "Config", "ConfigError", "DEVIATIONS", "DailyFootprint",
-    "Deviation", "Energy", "EnergyRate", "ExtractionResult", "Footprint",
+    "Carbon", "ConfigError", "DailyFootprint", "Energy", "EnergyRate",
     "FootprintProfile", "Interval", "InvoiceParseError", "LineItem",
-    "PipelineStage", "ReportBundle", "Scenario", "ScenarioComparison",
-    "ThinkingDelta", "TokenLedger", "VerificationRecord", "Water",
-    "WorkforceParams", "apply_pue", "build_bundle", "cloud_energy_per_doc",
-    "co2_from_energy", "compare_scenarios", "count_tokens",
-    "docs_per_operator_day", "emit_bundle_json", "emit_plot_data",
-    "emit_table", "evaluate_scenario", "footprint_from_ledger",
-    "get_deviation", "incremental_cost", "inference_energy", "interval_add",
-    "interval_scale", "ledger_shares", "load_config", "normalize_energy",
-    "operators_required", "parse_invoice", "prompt_co2",
-    "render_output_json", "run_pipeline", "thinking_delta", "verify_items",
-    "water_from_energy",
+    "PipelineStage", "Scenario", "TokenLedger", "Water", "WorkforceParams",
+    "apply_pue", "build_bundle", "cloud_energy_per_doc", "co2_from_energy",
+    "compare_scenarios", "count_tokens", "docs_per_operator_day",
+    "emit_bundle_json", "emit_plot_data", "emit_table", "evaluate_scenario",
+    "footprint_from_ledger", "get_deviation", "incremental_cost",
+    "inference_energy", "interval_add", "interval_scale", "ledger_shares",
+    "load_config", "normalize_energy", "operators_required", "parse_invoice",
+    "prompt_co2", "render_output_json", "run_pipeline", "thinking_delta",
+    "verify_items", "water_from_energy",
 ]

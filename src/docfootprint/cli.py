@@ -142,11 +142,14 @@ def _cmd_thinking_delta(args) -> int:
     delta = thinking_delta(args.base_tokens, args.thinking_tokens, profile)
     pct = ("undefined (base tokens = 0)" if delta.pct_increase is None
            else str(present(delta.pct_increase, 1)))
-    print(f"delta_energy_wh: {delta.delta_energy_wh}")
-    print(f"pct_increase: {pct}")
-    print(f"delta_co2_g: {present(delta.delta_co2_g, 2)}")
-    print(f"delta_water_ml: {present(delta.delta_water_ml.lo, 2)}"
-          f" -- {present(delta.delta_water_ml.hi, 2)}")
+    # Present every figure before printing any, so a value too large to
+    # present leaves stdout empty.
+    lines = [f"delta_energy_wh: {delta.delta_energy_wh}",
+             f"pct_increase: {pct}",
+             f"delta_co2_g: {present(delta.delta_co2_g, 2)}",
+             f"delta_water_ml: {present(delta.delta_water_ml.lo, 2)}"
+             f" -- {present(delta.delta_water_ml.hi, 2)}"]
+    print("\n".join(lines))
     return 0
 
 

@@ -4,6 +4,13 @@ Everything in this module is a pure function over immutable values.
 Range-valued quantities (operator counts, kWh per day, liters per day)
 travel as closed intervals. Energy flows tokens -> Wh -> kWh and fans
 out to grams of CO2 and liters of water through a FootprintProfile.
+
+Values are validated once, where they enter: Interval() and the
+dataclass constructors check every field, and from_json_obj checks the
+JSON form on top. Arithmetic inside the package builds its results
+through _interval, which keeps the same checks but lets finite float
+endpoints in order skip the slow path; any other pair goes through
+Interval() and raises its usual message.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ _MAX_TOKENS = 10 ** 15
 
 
 def _require_number(value, name: str) -> float:
+    # Fast path: a finite float (x - x is 0.0 only for finite x) is
+    # returned as is, exactly as the checks below would return it.
+    if type(value) is float and value - value == 0.0:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
     try:
@@ -71,6 +82,28 @@ class Interval:
         return (self.lo, self.hi)
 
 
+# Looked up once rather than on each of the many _interval calls.
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+def _interval(lo, hi) -> Interval:
+    """An Interval from endpoints the package computed itself.
+
+    Finite float endpoints with lo <= hi pass every check Interval()
+    makes, so they are stored without running them again. Anything
+    else (NaN, an infinity, a reversed pair, a non-float) goes through
+    Interval(lo, hi), which raises the message it always has.
+    """
+    if type(lo) is float and type(hi) is float and -math.inf < lo <= hi < math.inf:
+        # What the generated __init__ does, without __post_init__.
+        iv = _new_object(Interval)
+        _set_field(iv, "lo", lo)
+        _set_field(iv, "hi", hi)
+        return iv
+    return Interval(lo, hi)
+
+
 def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
                  pairs: tuple[str, ...] = (), kinds: dict[str, type] | None = None) -> dict:
     """Check the keys of a JSON object and return a copy of its fields.
@@ -107,7 +140,7 @@ def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
 
 def interval_add(a: Interval, b: Interval) -> Interval:
     """Endpoint-wise sum of two intervals."""
-    return Interval(a.lo + b.lo, a.hi + b.hi)
+    return _interval(a.lo + b.lo, a.hi + b.hi)
 
 
 def interval_scale(a: Interval, k: float) -> Interval:
@@ -120,7 +153,7 @@ def interval_scale(a: Interval, k: float) -> Interval:
     k = _require_number(k, "k")
     if k < 0:
         raise ValueError(f"scale factor must be >= 0, got {k}")
-    return Interval(a.lo * k, a.hi * k)
+    return _interval(a.lo * k, a.hi * k)
 
 
 @dataclass(frozen=True)
@@ -272,10 +305,10 @@ def water_from_energy(energy_kwh: float | Interval, wue: Interval) -> Interval:
     and likewise for the high case.
     """
     if isinstance(energy_kwh, Interval):
-        return Interval(energy_kwh.lo * wue.lo, energy_kwh.hi * wue.hi)
+        return _interval(energy_kwh.lo * wue.lo, energy_kwh.hi * wue.hi)
     if energy_kwh < 0:
         raise ValueError("energy must be >= 0")
-    return Interval(energy_kwh * wue.lo, energy_kwh * wue.hi)
+    return _interval(energy_kwh * wue.lo, energy_kwh * wue.hi)
 
 
 def prompt_co2(prompts: int, co2_per_prompt_g: float) -> float:

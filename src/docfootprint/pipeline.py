@@ -17,7 +17,16 @@ import json
 import logging
 import re
 from dataclasses import dataclass
-from decimal import Decimal, DecimalException, InvalidOperation, ROUND_HALF_UP
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    ROUND_HALF_UP,
+    Context,
+    Decimal,
+    DecimalException,
+    InvalidOperation,
+)
 
 from .core import (
     Carbon,
@@ -50,6 +59,8 @@ _CENT = Decimal("0.01")
 # quantity * unit_price stays below 10**26 - 0.01 and the cent rounding in
 # verify_items fits Decimal's default 28 digits.
 _MAX_AMOUNT = Decimal(10) ** 13
+# A context that never rounds, so normalize() only strips trailing zeros.
+_EXACT = Context(prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX)
 
 
 class InvoiceParseError(ValueError):
@@ -216,7 +227,9 @@ def verify_items(items: list[LineItem] | tuple[LineItem, ...],
 def _qty_literal(q: Decimal) -> str:
     if q == q.to_integral_value():
         return str(int(q))
-    return str(q.normalize())
+    # Under the default 28-digit context normalize() would round a longer
+    # quantity, and the output would differ from the value verified.
+    return str(q.normalize(_EXACT))
 
 
 def _price_literal(p: Decimal) -> str:

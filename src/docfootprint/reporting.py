@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 from dataclasses import dataclass
-from decimal import Decimal, ROUND_HALF_UP
+from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from pathlib import Path
 
 from .core import FootprintProfile, Interval, _json_fields
@@ -42,10 +42,19 @@ def _dec(x: float) -> Decimal:
     return Decimal(repr(x))
 
 
+def _too_large(value) -> ValueError:
+    # quantize fails only when the rounded value needs more digits than
+    # the decimal context's 28.
+    return ValueError(f"value too large to present: {value}")
+
+
 def present(x: float, ndigits: int = 1) -> Decimal:
     """Half-up presentation rounding of a float, returned as a Decimal."""
     quantum = _ONE.scaleb(-ndigits) if ndigits > 0 else _ONE
-    return _dec(x).quantize(quantum, rounding=ROUND_HALF_UP)
+    try:
+        return _dec(x).quantize(quantum, rounding=ROUND_HALF_UP)
+    except InvalidOperation:
+        raise _too_large(repr(x)) from None
 
 
 def present_pct(x: float) -> int:
@@ -174,7 +183,10 @@ def build_bundle(config: Config, baseline: str,
 
 
 def _tenth(x: Decimal) -> Decimal:
-    return x.quantize(_TENTH, rounding=ROUND_HALF_UP)
+    try:
+        return x.quantize(_TENTH, rounding=ROUND_HALF_UP)
+    except InvalidOperation:
+        raise _too_large(x) from None
 
 
 def _range_cell(lo, hi) -> str:

@@ -15,9 +15,9 @@ from decimal import Decimal
 from .core import (
     FootprintProfile,
     Interval,
+    _interval,
     _json_fields,
     _require_number,
-    interval_add,
     interval_scale,
     water_from_energy,
 )
@@ -164,7 +164,7 @@ def docs_per_operator_day(w: WorkforceParams) -> Interval:
     productive_seconds = w.productive_hours * SECONDS_PER_HOUR
     lo = math.floor(productive_seconds / w.per_doc_time_s.hi)
     hi = math.floor(productive_seconds / w.per_doc_time_s.lo)
-    return Interval(float(lo), float(hi))
+    return _interval(float(lo), float(hi))
 
 
 def operators_required(volume: int, throughput: Interval, buffer: float) -> Interval:
@@ -182,7 +182,7 @@ def operators_required(volume: int, throughput: Interval, buffer: float) -> Inte
         raise ValueError("throughput.lo must be >= 1 (zero throughput)")
     lo = math.ceil(volume / throughput.hi * buffer)
     hi = math.ceil(volume / throughput.lo * buffer)
-    return Interval(float(lo), float(hi))
+    return _interval(float(lo), float(hi))
 
 
 def cloud_energy_per_doc(stages: list[PipelineStage] | tuple[PipelineStage, ...]) -> float:
@@ -211,12 +211,19 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
     else:
         operators = operators_required(
             s.daily_volume, docs_per_operator_day(s.workforce), s.workforce.buffer)
-    laptop = interval_scale(operators, s.workforce.laptop_kwh_per_day)
+    # Energy endpoints on floats, in the order (operators * laptop + cloud)
+    # + overhead. Every partial result is checked in the order the
+    # interval steps (scale, add the cloud point, add the overhead point)
+    # checked it, so an overflow names the same endpoint with the same
+    # message. The laptop draw and overhead were checked by their records.
+    laptop = s.workforce.laptop_kwh_per_day
+    lo = _require_number(operators.lo * laptop, "lo")
+    hi = _require_number(operators.hi * laptop, "hi")
     per_doc_kwh = cloud_energy_per_doc(s.stages)
-    cloud = per_doc_kwh * s.daily_volume
-    energy = interval_add(
-        interval_add(laptop, Interval.point(cloud)),
-        Interval.point(s.overhead_kwh_per_day))
+    cloud = _require_number(per_doc_kwh * s.daily_volume, "lo")
+    lo = _require_number(lo + cloud, "lo")
+    hi = _require_number(hi + cloud, "hi")
+    energy = _interval(lo + s.overhead_kwh_per_day, hi + s.overhead_kwh_per_day)
     co2_kg = interval_scale(energy, profile.emission_factor_g_per_kwh / 1000.0)
     water_l = water_from_energy(energy, profile.wue)
     return DailyFootprint(
@@ -242,14 +249,14 @@ def increase_pct(base: Interval, candidate: Interval) -> Interval:
     # Endpoint-matched ratios; the pair need not arrive ordered, so sort.
     at_hi = (candidate.hi / base.hi - 1.0) * 100.0
     at_lo = (candidate.lo / base.lo - 1.0) * 100.0
-    return Interval(min(at_hi, at_lo), max(at_hi, at_lo))
+    return _interval(min(at_hi, at_lo), max(at_hi, at_lo))
 
 
 def _reduction_pct(baseline: Interval, candidate: Interval) -> Interval:
     # (1 - r) * 100 is bit-identical to 0.0 - (r - 1) * 100; subtracting
     # from 0.0 rather than negating keeps an equal pair at +0.0.
     inc = increase_pct(baseline, candidate)
-    return Interval(0.0 - inc.hi, 0.0 - inc.lo)
+    return _interval(0.0 - inc.hi, 0.0 - inc.lo)
 
 
 def compare_scenarios(baseline: DailyFootprint, candidate: DailyFootprint) -> ScenarioComparison:

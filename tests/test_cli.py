@@ -253,6 +253,39 @@ def test_malformed_config_is_an_input_error(tmp_path, data_dir, capsys,
     assert err.startswith("error: /") and err.count("\n") == 1
 
 
+
+def _huge_agentic_volume(config_path):
+    agentic = config_path.parent / "scenarios" / "agentic.json"
+    obj = json.loads(agentic.read_text())
+    obj["daily_volume"] = 10 ** 40
+    agentic.write_text(json.dumps(obj))
+
+
+def _huge_emission_factor(config_path):
+    config = json.loads(config_path.read_text())
+    config["profiles"]["flash-prompt-2025"]["emission_factor_g_per_kwh"] = 1e300
+    config_path.write_text(json.dumps(config))
+
+
+@pytest.mark.parametrize("edit, argv, value", [
+    (_huge_agentic_volume, ["scenario-compare"], "-3.705234159779614e+37"),
+    (_huge_emission_factor, ["thinking-delta", "1", "1000"], "2.4e+296"),
+], ids=["scenario-compare-huge-volume", "thinking-delta-huge-emission-factor"])
+def test_values_too_large_to_present_are_input_errors(tmp_path, data_dir, capsys,
+                                                      edit, argv, value):
+    config = _config_copy(tmp_path, data_dir)
+    edit(config)
+    out = tmp_path / "out"
+    argv = [*argv, "--config", str(config)]
+    if argv[0] == "scenario-compare":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: value too large to present: {value}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_missing_key_error_independent_of_hash_seed(tmp_path, data_dir):
     def drop_two(config):
         profile = config["profiles"]["flash-prompt-2025"]

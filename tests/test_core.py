@@ -32,6 +32,38 @@ def test_interval_rejects_non_finite():
         Interval(math.nan, 1.0)
 
 
+@pytest.mark.parametrize("lo, hi, message", [
+    (math.nan, 1.0, "lo: must be finite, got nan"),
+    (0.0, math.nan, "hi: must be finite, got nan"),
+    (math.inf, math.inf, "lo: must be finite, got inf"),
+    (0.0, math.inf, "hi: must be finite, got inf"),
+    (-math.inf, 0.0, "lo: must be finite, got -inf"),
+    (2.0, 1.0, "invalid interval: lo 2.0 > hi 1.0"),
+    (True, 1.0, "lo: expected a number, got True"),
+    (0.0, False, "hi: expected a number, got False"),
+    ("1", 2.0, "lo: expected a number, got '1'"),
+    (0.0, None, "hi: expected a number, got None"),
+    (0, 10 ** 400, "hi: must be finite, got an integer too large for a float"),
+])
+def test_interval_rejection_messages(lo, hi, message):
+    with pytest.raises(ValueError) as info:
+        Interval(lo, hi)
+    assert str(info.value) == message
+
+
+def test_computed_intervals_keep_the_constructor_checks():
+    big = Interval(1e308, 1e308)
+    for compute in (lambda: interval_add(big, big),
+                    lambda: interval_scale(big, 10.0),
+                    lambda: water_from_energy(big, Interval(10.0, 10.0)),
+                    lambda: water_from_energy(1e308, Interval(10.0, 10.0))):
+        with pytest.raises(ValueError) as info:
+            compute()
+        assert str(info.value) == "lo: must be finite, got inf"
+    total = interval_add(Interval(1, 2), Interval(3, 4))
+    assert type(total.lo) is float and total == Interval(4.0, 6.0)
+
+
 def test_interval_point_and_helpers():
     p = Interval.point(3.5)
     assert p.lo == p.hi == 3.5

@@ -1,6 +1,9 @@
 import dataclasses
 import logging
+import sys
+import types
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +20,7 @@ from docfootprint import (
     run_pipeline,
     verify_items,
 )
+from docfootprint.pipeline import _qty_literal
 
 SPEC_ROW = "ITEM 03 | Integration service | 40 | 85.00 | 3400.00 | EUR"
 
@@ -144,6 +148,37 @@ def test_render_output_two_decimal_prices(invoice_text):
 def test_render_output_matches_reference_fixture(invoice_text, fixtures_dir):
     reference = (fixtures_dir / "extraction_output.json").read_text(encoding="utf-8")
     assert render_output_json(parse_invoice(invoice_text)) == reference
+
+
+def _benchmark_generator(monkeypatch):
+    """perfbench/gen.py, loaded without writing bytecode next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    module = types.ModuleType("perfbench_gen")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module
+
+
+def test_quantities_render_as_before_up_to_28_digits(invoice_text, monkeypatch):
+    documents = [invoice_text] + [invoice.text for invoice in
+                                  _benchmark_generator(monkeypatch).invoice_corpus(1)
+                                  if invoice.error_kind is None]
+    quantities = [item.quantity for doc in documents for item in parse_invoice(doc)]
+    quantities += [Decimal(raw) for raw in ("0.0000001", "1E-7", "1.50", "120.500", "0.10",
+                                            "1.234567890123456789012345678")]
+    assert any(q != q.to_integral_value() for q in quantities)
+    for q in quantities:
+        # The rendering of a 28-digit context: exact at these lengths.
+        expected = str(int(q)) if q == q.to_integral_value() else str(q.normalize())
+        assert _qty_literal(q) == expected
+    assert _qty_literal(Decimal("0.0000001")) == "1E-7"
+
+
+def test_long_quantity_renders_as_verified():
+    raw = "1.00000000000000000000000000001"
+    items = parse_invoice(f"ITEM 01 | x | {raw} | 1.00 | 1.00 | EUR")
+    assert items[0].quantity == Decimal(raw)
+    assert f'"quantity": {raw},' in render_output_json(items)
 
 
 def test_render_output_empty():

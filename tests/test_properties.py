@@ -18,7 +18,10 @@ from docfootprint import (
     TokenLedger,
     Water,
     co2_from_energy,
+    compare_scenarios,
+    evaluate_scenario,
     footprint_from_ledger,
+    incremental_cost,
     inference_energy,
     interval_add,
     interval_scale,
@@ -177,6 +180,40 @@ def run_config_roundtrip_suite(tmp_dir, cases=100, seed=SEED):
             list(config.scenarios)
 
 
+def _assert_trusted(iv):
+    """Float endpoints, finite, in order: what Interval() would accept."""
+    assert type(iv.lo) is float and type(iv.hi) is float
+    assert math.isfinite(iv.lo) and math.isfinite(iv.hi)
+    assert iv.lo <= iv.hi
+
+
+def run_trusted_results_suite(cases=2_000, seed=SEED):
+    """Every interval the scenario layer computes is one Interval() accepts."""
+    rng = random.Random(seed)
+    previous = None
+    for _ in range(cases):
+        config_obj, scenario_objs = _random_config_obj(rng, 2)
+        for obj in scenario_objs:
+            # Spread volumes and stage energies over many magnitudes.
+            obj["daily_volume"] = rng.randint(0, 10 ** rng.randint(0, 12))
+            for stage in obj["stages"]:
+                stage["energy_wh_per_doc"] *= 10.0 ** rng.randint(-300, 6)
+        profile = FootprintProfile.from_json_obj("p", config_obj["profiles"]["profile-0"])
+        base, candidate = (evaluate_scenario(Scenario.from_json_obj(obj), profile)
+                           for obj in scenario_objs)
+        for fp in (base, candidate):
+            for iv in (fp.operators, fp.energy_kwh, fp.co2_kg, fp.water_l):
+                _assert_trusted(iv)
+        if base.energy_kwh.lo > 0:
+            comparison = compare_scenarios(base, candidate)
+            for iv in (comparison.energy_reduction_pct, comparison.co2_reduction_pct,
+                       comparison.water_reduction_pct):
+                _assert_trusted(iv)
+        if previous is not None and previous.energy_kwh.lo > 0:
+            _assert_trusted(incremental_cost(previous, candidate))
+        previous = candidate
+
+
 def test_interval_properties():
     run_interval_suite()
 
@@ -191,3 +228,7 @@ def test_footprint_consistency():
 
 def test_config_round_trip(tmp_path):
     run_config_roundtrip_suite(tmp_path)
+
+
+def test_computed_intervals_are_trusted():
+    run_trusted_results_suite()

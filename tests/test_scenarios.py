@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from docfootprint import (
@@ -15,6 +17,7 @@ from docfootprint import (
     operators_required,
     water_from_energy,
 )
+from docfootprint.scenarios import increase_pct
 
 
 def _manual_workforce():
@@ -238,3 +241,54 @@ def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(name="x", daily_volume=1, workforce=_hitl_workforce(),
                  operators_override=Interval(1.5, 2.0))
+
+
+def _overflow_scenario(volume=100, laptop=0.48, override=None, stages=(), overhead=0.0):
+    return Scenario(name="x", daily_volume=volume,
+                    workforce=WorkforceParams(per_doc_time_s=Interval(30, 120),
+                                              laptop_kwh_per_day=laptop),
+                    stages=tuple(PipelineStage("s", e) for e in stages),
+                    overhead_kwh_per_day=overhead, operators_override=override)
+
+
+# Overflowing inputs and the exact message each one raises. The energy
+# sum is (operators * laptop + cloud) + overhead, and the first partial
+# result that overflows names its endpoint, even when a later one
+# overflows too.
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(laptop=1e300, override=Interval(0, 1e10)), "hi: must be finite, got inf"),
+    (dict(laptop=1e300, override=Interval(1e10, 1e10)), "lo: must be finite, got inf"),
+    (dict(volume=10 ** 4, stages=(1e308,)), "lo: must be finite, got inf"),
+    (dict(volume=10 ** 4, laptop=1e300, override=Interval(0, 1e10), stages=(1e308,)),
+     "hi: must be finite, got inf"),
+    (dict(laptop=1.7e308, override=Interval(1, 1), overhead=1e308), "lo: must be finite, got inf"),
+    (dict(laptop=1.7e308, override=Interval(0, 1), overhead=1e308), "hi: must be finite, got inf"),
+    (dict(volume=1000, laptop=1.7e308, override=Interval(0, 1), stages=(1e308,), overhead=1e308),
+     "hi: must be finite, got inf"),
+], ids=["laptop-override-hi", "laptop-override-lo", "stage-volume", "laptop-and-cloud",
+        "overhead-lo", "overhead-hi", "cloud-hi-before-overhead-lo"])
+def test_energy_overflow_messages(flash, kwargs, message):
+    with pytest.raises(ValueError) as info:
+        evaluate_scenario(_overflow_scenario(**kwargs), flash)
+    assert str(info.value) == message
+
+
+def test_co2_and_water_overflow_messages(flash):
+    scenario = _overflow_scenario(override=Interval(1, 2), overhead=1e300)
+    for profile, message in [
+        (dataclasses.replace(flash, emission_factor_g_per_kwh=1e300), "lo: must be finite, got inf"),
+        (dataclasses.replace(flash, wue=Interval(0.3, 1e300)), "hi: must be finite, got inf"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            evaluate_scenario(scenario, profile)
+        assert str(info.value) == message
+
+
+def test_ratio_overflow_on_a_tiny_baseline(flash):
+    tiny, big = Interval(1e-300, 1e-300), Interval(1.0, 1e10)
+    with pytest.raises(ValueError) as info:
+        increase_pct(tiny, big)
+    assert str(info.value) == "hi: must be finite, got inf"
+    with pytest.raises(ValueError) as info:
+        compare_scenarios(_footprint_from_energy(tiny, flash), _footprint_from_energy(big, flash))
+    assert str(info.value) == "hi: must be finite, got inf"
