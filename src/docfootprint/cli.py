@@ -62,7 +62,7 @@ def _resolve_ledger(value: str | None) -> TokenLedger | None:
     try:
         obj = json.loads(path.read_text(encoding="utf-8"))
         return TokenLedger.from_json_obj(obj)
-    except (json.JSONDecodeError, ValueError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"bad ledger file {path}: {exc}") from None
 
 

@@ -65,21 +65,11 @@ class Interval:
         if lo > hi:
             raise ValueError(f"invalid interval: lo {lo} > hi {hi}")
 
-    @classmethod
-    def point(cls, x: float) -> "Interval":
-        return cls(x, x)
-
-    def width(self) -> float:
-        return self.hi - self.lo
-
     def midpoint(self) -> float:
         return (self.lo + self.hi) / 2.0
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-    def as_tuple(self) -> tuple[float, float]:
-        return (self.lo, self.hi)
 
 
 # Looked up once rather than on each of the many _interval calls.
@@ -272,25 +262,21 @@ def inference_energy(tokens: int, rate: EnergyRate) -> float:
     return tokens * rate.wh_per_kilo_token / 1000.0
 
 
-def apply_pue(it_energy: float | Interval, pue: float) -> float | Interval:
+def apply_pue(it_energy: float, pue: float) -> float:
     """Expand IT-side energy to facility energy by the PUE factor."""
     pue = _require_number(pue, "pue")
     if pue < 1.0:
         raise ValueError(f"pue >= 1 required, got {pue}")
-    if isinstance(it_energy, Interval):
-        return interval_scale(it_energy, pue)
     if it_energy < 0:
         raise ValueError("energy must be >= 0")
     return it_energy * pue
 
 
-def co2_from_energy(energy_kwh: float | Interval, factor_g_per_kwh: float) -> float | Interval:
-    """Grid CO2 in grams for an energy amount in kWh; endpoint-wise on intervals."""
+def co2_from_energy(energy_kwh: float, factor_g_per_kwh: float) -> float:
+    """Grid CO2 in grams for an energy amount in kWh; interval_scale is the interval form."""
     factor = _require_number(factor_g_per_kwh, "factor_g_per_kwh")
     if factor <= 0:
         raise ValueError(f"emission factor must be > 0, got {factor}")
-    if isinstance(energy_kwh, Interval):
-        return interval_scale(energy_kwh, factor)
     if energy_kwh < 0:
         raise ValueError("energy must be >= 0")
     return energy_kwh * factor
@@ -305,10 +291,12 @@ def water_from_energy(energy_kwh: float | Interval, wue: Interval) -> Interval:
     and likewise for the high case.
     """
     if isinstance(energy_kwh, Interval):
-        return _interval(energy_kwh.lo * wue.lo, energy_kwh.hi * wue.hi)
-    if energy_kwh < 0:
+        lo, hi = energy_kwh.lo, energy_kwh.hi
+    else:
+        lo = hi = energy_kwh
+    if lo < 0:
         raise ValueError("energy must be >= 0")
-    return _interval(energy_kwh * wue.lo, energy_kwh * wue.hi)
+    return _interval(lo * wue.lo, hi * wue.hi)
 
 
 def prompt_co2(prompts: int, co2_per_prompt_g: float) -> float:

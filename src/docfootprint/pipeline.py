@@ -66,10 +66,11 @@ _EXACT = Context(prec=MAX_PREC, Emin=MIN_EMIN, Emax=MAX_EMAX)
 class InvoiceParseError(ValueError):
     """Raised for a malformed line-item row; carries the line number."""
 
-    def __init__(self, line_number: int, message: str, stage: str = "parser"):
-        super().__init__(f"{stage}: line {line_number}: {message}")
+    stage = "parser"
+
+    def __init__(self, line_number: int, message: str):
+        super().__init__(f"{self.stage}: line {line_number}: {message}")
         self.line_number = line_number
-        self.stage = stage
 
 
 @dataclass(frozen=True)
@@ -205,9 +206,8 @@ def parse_invoice(document: str) -> list[LineItem]:
     return items
 
 
-def verify_items(items: list[LineItem] | tuple[LineItem, ...],
-                 tolerance: Decimal = Decimal("0.01")) -> list[VerificationRecord]:
-    """Check quantity * unit_price == total_price per item.
+def verify_items(items: list[LineItem] | tuple[LineItem, ...]) -> list[VerificationRecord]:
+    """Check quantity * unit_price == total_price per item, to within a cent.
 
     delta is signed as total_price minus the recomputed product, so an
     overstated total reports a positive delta. Failures are data, not
@@ -218,7 +218,7 @@ def verify_items(items: list[LineItem] | tuple[LineItem, ...],
         delta = item.total_price - item.quantity * item.unit_price
         records.append(VerificationRecord(
             item_id=item.item_id,
-            ok=abs(delta) <= tolerance,
+            ok=abs(delta) <= _CENT,
             delta=delta.quantize(_CENT, rounding=ROUND_HALF_UP),
         ))
     return records

@@ -76,7 +76,7 @@ def _load_json(path: Path, pointer: str) -> object:
         raise ConfigError(f"{pointer}: file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ConfigError(f"{pointer}: invalid JSON: {exc}") from None
 
 
@@ -172,7 +172,12 @@ def build_bundle(config: Config, baseline: str,
     if baseline not in names:
         raise ValueError(f"unknown scenario {baseline!r}; choices: {', '.join(names)}")
     profile = config.profiles[config.scenario_profile]
-    footprints = {s.name: evaluate_scenario(s, profile) for s in config.scenarios}
+    footprints = {}
+    for i, s in enumerate(config.scenarios):
+        try:
+            footprints[s.name] = evaluate_scenario(s, profile)
+        except ValueError as exc:
+            raise ConfigError(f"/scenarios/{i}: {exc}") from None
     # Reductions first, so a zero baseline is reported before any
     # presentation step runs.
     tables = {"reduction_table": _reduction_table(footprints, baseline),

@@ -162,8 +162,11 @@ class DailyFootprint:
 def docs_per_operator_day(w: WorkforceParams) -> Interval:
     """Documents one operator clears per day, floored to whole documents."""
     productive_seconds = w.productive_hours * SECONDS_PER_HOUR
-    lo = math.floor(productive_seconds / w.per_doc_time_s.hi)
-    hi = math.floor(productive_seconds / w.per_doc_time_s.lo)
+    try:
+        lo = math.floor(productive_seconds / w.per_doc_time_s.hi)
+        hi = math.floor(productive_seconds / w.per_doc_time_s.lo)
+    except OverflowError:
+        raise ValueError("throughput: must be finite, got inf") from None
     return _interval(float(lo), float(hi))
 
 
@@ -180,8 +183,11 @@ def operators_required(volume: int, throughput: Interval, buffer: float) -> Inte
         raise ValueError(f"buffer >= 1 required, got {buffer}")
     if throughput.lo < 1:
         raise ValueError("throughput.lo must be >= 1 (zero throughput)")
-    lo = math.ceil(volume / throughput.hi * buffer)
-    hi = math.ceil(volume / throughput.lo * buffer)
+    try:
+        lo = math.ceil(volume / throughput.hi * buffer)
+        hi = math.ceil(volume / throughput.lo * buffer)
+    except OverflowError:
+        raise ValueError("operators: must be finite, got inf") from None
     return _interval(float(lo), float(hi))
 
 
@@ -211,19 +217,14 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
     else:
         operators = operators_required(
             s.daily_volume, docs_per_operator_day(s.workforce), s.workforce.buffer)
-    # Energy endpoints on floats, in the order (operators * laptop + cloud)
-    # + overhead. Every partial result is checked in the order the
-    # interval steps (scale, add the cloud point, add the overhead point)
-    # checked it, so an overflow names the same endpoint with the same
-    # message. The laptop draw and overhead were checked by their records.
+    # Every term is non-negative, so a partial sum that overflows leaves
+    # its endpoint infinite and _interval reports it.
     laptop = s.workforce.laptop_kwh_per_day
-    lo = _require_number(operators.lo * laptop, "lo")
-    hi = _require_number(operators.hi * laptop, "hi")
     per_doc_kwh = cloud_energy_per_doc(s.stages)
-    cloud = _require_number(per_doc_kwh * s.daily_volume, "lo")
-    lo = _require_number(lo + cloud, "lo")
-    hi = _require_number(hi + cloud, "hi")
-    energy = _interval(lo + s.overhead_kwh_per_day, hi + s.overhead_kwh_per_day)
+    cloud = per_doc_kwh * s.daily_volume
+    overhead = s.overhead_kwh_per_day
+    energy = _interval((operators.lo * laptop + cloud) + overhead,
+                       (operators.hi * laptop + cloud) + overhead)
     co2_kg = interval_scale(energy, profile.emission_factor_g_per_kwh / 1000.0)
     water_l = water_from_energy(energy, profile.wue)
     return DailyFootprint(

@@ -237,20 +237,49 @@ def _config_copy(tmp_path, data_dir, edit_config=None, edit_manual=None):
     return tmp_path / "config.json"
 
 
+def _manual_edit(workforce, **fields):
+    """An edit of manual.json that updates its workforce and top-level fields."""
+    def edit(scenario):
+        scenario["workforce"].update(workforce)
+        scenario.update(fields)
+    return edit
+
+
 @pytest.mark.parametrize("edit_config, edit_manual", [
     (lambda c: c.update(scenario_profile=[]), None),
     (None, lambda s: s.update(stages=5)),
     (None, lambda s: s.update(stages=None)),
     (None, lambda s: s.update(daily_volume=10 ** 400)),
     (lambda c: c["profiles"]["flash-prompt-2025"].update(pue=10 ** 400), None),
-], ids=["profile-binding-list", "stages-int", "stages-null", "huge-volume", "huge-pue"])
+    (None, _manual_edit({"per_doc_time_s": [1e-320, 1800]}, operators_override=None)),
+    (None, _manual_edit({"buffer": 1e308}, daily_volume=10 ** 10, operators_override=None)),
+    (None, _manual_edit({"laptop_kwh_per_day": 1e300}, operators_override=[0, 1e10])),
+    (None, _manual_edit({"per_doc_time_s": [30000, 40000]}, operators_override=None)),
+], ids=["profile-binding-list", "stages-int", "stages-null", "huge-volume", "huge-pue",
+        "tiny-per-doc-time", "huge-buffer", "energy-overflow", "zero-throughput"])
 def test_malformed_config_is_an_input_error(tmp_path, data_dir, capsys,
                                             edit_config, edit_manual):
     config = _config_copy(tmp_path, data_dir, edit_config, edit_manual)
-    code = main(["scenario-compare", "--config", str(config), "--out", str(tmp_path / "out")])
+    out = tmp_path / "out"
+    code = main(["scenario-compare", "--config", str(config), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: /") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["scenario-compare", "--config"], "error: /: invalid JSON: "),
+    (["usecase-run", "--ledger"], "error: bad ledger file "),
+], ids=["config", "ledger"])
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, prefix):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 5000 + "]" * 5000)
+    out = tmp_path / "out"
+    assert main([*argv, str(deep), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and err.count("\n") == 1
+    assert not out.exists()
 
 
 

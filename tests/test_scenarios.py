@@ -251,20 +251,19 @@ def _overflow_scenario(volume=100, laptop=0.48, override=None, stages=(), overhe
                     overhead_kwh_per_day=overhead, operators_override=override)
 
 
-# Overflowing inputs and the exact message each one raises. The energy
-# sum is (operators * laptop + cloud) + overhead, and the first partial
-# result that overflows names its endpoint, even when a later one
-# overflows too.
+# Overflowing inputs and the exact message each one raises. Each energy
+# endpoint is (operators * laptop + cloud) + overhead; the message names
+# lo when the low endpoint overflows, otherwise hi.
 @pytest.mark.parametrize("kwargs, message", [
     (dict(laptop=1e300, override=Interval(0, 1e10)), "hi: must be finite, got inf"),
     (dict(laptop=1e300, override=Interval(1e10, 1e10)), "lo: must be finite, got inf"),
     (dict(volume=10 ** 4, stages=(1e308,)), "lo: must be finite, got inf"),
     (dict(volume=10 ** 4, laptop=1e300, override=Interval(0, 1e10), stages=(1e308,)),
-     "hi: must be finite, got inf"),
+     "lo: must be finite, got inf"),
     (dict(laptop=1.7e308, override=Interval(1, 1), overhead=1e308), "lo: must be finite, got inf"),
     (dict(laptop=1.7e308, override=Interval(0, 1), overhead=1e308), "hi: must be finite, got inf"),
     (dict(volume=1000, laptop=1.7e308, override=Interval(0, 1), stages=(1e308,), overhead=1e308),
-     "hi: must be finite, got inf"),
+     "lo: must be finite, got inf"),
 ], ids=["laptop-override-hi", "laptop-override-lo", "stage-volume", "laptop-and-cloud",
         "overhead-lo", "overhead-hi", "cloud-hi-before-overhead-lo"])
 def test_energy_overflow_messages(flash, kwargs, message):
