@@ -53,6 +53,13 @@ def _write(out_dir: Path, filename: str, text: str) -> None:
     print(f"wrote {target}")
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"bad text file {path}: {exc}") from None
+
+
 def _resolve_ledger(value: str | None) -> TokenLedger | None:
     if value is None:
         return None
@@ -90,8 +97,8 @@ def _cmd_scenario_compare(args) -> int:
 def _run_usecase(args):
     config = load_config(args.config)
     profile = _profile_from(config, args.profile, config.usecase_profile)
-    document = Path(args.document).read_text(encoding="utf-8")
-    prompt = Path(args.prompt).read_text(encoding="utf-8")
+    document = _read_text(Path(args.document))
+    prompt = _read_text(Path(args.prompt))
     ledger = _resolve_ledger(args.ledger)
     result = run_pipeline(document, prompt, profile, ledger_override=ledger)
     return config, profile, result
@@ -158,7 +165,7 @@ def _cmd_tokens_count(args) -> int:
         path = Path(name)
         if not path.is_file():
             raise ValueError(f"file not found: {path}")
-        print(f"{count_tokens(path.read_text(encoding='utf-8'))}\t{name}")
+        print(f"{count_tokens(_read_text(path))}\t{name}")
     return 0
 
 

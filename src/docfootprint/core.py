@@ -5,12 +5,9 @@ Range-valued quantities (operator counts, kWh per day, liters per day)
 travel as closed intervals. Energy flows tokens -> Wh -> kWh and fans
 out to grams of CO2 and liters of water through a FootprintProfile.
 
-Values are validated once, where they enter: Interval() and the
+Values are validated where they are built: Interval() and the
 dataclass constructors check every field, and from_json_obj checks the
-JSON form on top. Arithmetic inside the package builds its results
-through _interval, which keeps the same checks but lets finite float
-endpoints in order skip the slow path; any other pair goes through
-Interval() and raises its usual message.
+JSON form on top.
 """
 
 from __future__ import annotations
@@ -50,18 +47,30 @@ def _require_tokens(value, name: str) -> None:
         raise ValueError(f"{name} must be <= 10**15")
 
 
-@dataclass(frozen=True)
+# Looked up once rather than on each Interval construction.
+_set_field = object.__setattr__
+
+
+@dataclass(frozen=True, init=False)
 class Interval:
     """Closed numeric range [lo, hi]. A point value has lo == hi."""
 
     lo: float
     hi: float
 
+    def __init__(self, lo, hi):
+        _set_field(self, "lo", lo)
+        _set_field(self, "hi", hi)
+        # Finite float endpoints in order pass every check of
+        # __post_init__ unchanged, so only other pairs run it.
+        if not (type(lo) is float and type(hi) is float and -math.inf < lo <= hi < math.inf):
+            self.__post_init__()
+
     def __post_init__(self):
         lo = _require_number(self.lo, "lo")
         hi = _require_number(self.hi, "hi")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        _set_field(self, "lo", lo)
+        _set_field(self, "hi", hi)
         if lo > hi:
             raise ValueError(f"invalid interval: lo {lo} > hi {hi}")
 
@@ -70,28 +79,6 @@ class Interval:
 
     def contains(self, x: float) -> bool:
         return self.lo <= x <= self.hi
-
-
-# Looked up once rather than on each of the many _interval calls.
-_new_object = object.__new__
-_set_field = object.__setattr__
-
-
-def _interval(lo, hi) -> Interval:
-    """An Interval from endpoints the package computed itself.
-
-    Finite float endpoints with lo <= hi pass every check Interval()
-    makes, so they are stored without running them again. Anything
-    else (NaN, an infinity, a reversed pair, a non-float) goes through
-    Interval(lo, hi), which raises the message it always has.
-    """
-    if type(lo) is float and type(hi) is float and -math.inf < lo <= hi < math.inf:
-        # What the generated __init__ does, without __post_init__.
-        iv = _new_object(Interval)
-        _set_field(iv, "lo", lo)
-        _set_field(iv, "hi", hi)
-        return iv
-    return Interval(lo, hi)
 
 
 def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
@@ -130,7 +117,7 @@ def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
 
 def interval_add(a: Interval, b: Interval) -> Interval:
     """Endpoint-wise sum of two intervals."""
-    return _interval(a.lo + b.lo, a.hi + b.hi)
+    return Interval(a.lo + b.lo, a.hi + b.hi)
 
 
 def interval_scale(a: Interval, k: float) -> Interval:
@@ -143,7 +130,7 @@ def interval_scale(a: Interval, k: float) -> Interval:
     k = _require_number(k, "k")
     if k < 0:
         raise ValueError(f"scale factor must be >= 0, got {k}")
-    return _interval(a.lo * k, a.hi * k)
+    return Interval(a.lo * k, a.hi * k)
 
 
 @dataclass(frozen=True)
@@ -296,7 +283,7 @@ def water_from_energy(energy_kwh: float | Interval, wue: Interval) -> Interval:
         lo = hi = energy_kwh
     if lo < 0:
         raise ValueError("energy must be >= 0")
-    return _interval(lo * wue.lo, hi * wue.hi)
+    return Interval(lo * wue.lo, hi * wue.hi)
 
 
 def prompt_co2(prompts: int, co2_per_prompt_g: float) -> float:

@@ -76,7 +76,9 @@ def _load_json(path: Path, pointer: str) -> object:
         raise ConfigError(f"{pointer}: file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bytes that are not UTF-8 and integers too long
+        # to convert, as well as JSON syntax errors.
         raise ConfigError(f"{pointer}: invalid JSON: {exc}") from None
 
 

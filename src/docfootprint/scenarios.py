@@ -15,7 +15,6 @@ from decimal import Decimal
 from .core import (
     FootprintProfile,
     Interval,
-    _interval,
     _json_fields,
     _require_number,
     interval_scale,
@@ -167,7 +166,7 @@ def docs_per_operator_day(w: WorkforceParams) -> Interval:
         hi = math.floor(productive_seconds / w.per_doc_time_s.lo)
     except OverflowError:
         raise ValueError("throughput: must be finite, got inf") from None
-    return _interval(float(lo), float(hi))
+    return Interval(float(lo), float(hi))
 
 
 def operators_required(volume: int, throughput: Interval, buffer: float) -> Interval:
@@ -188,7 +187,7 @@ def operators_required(volume: int, throughput: Interval, buffer: float) -> Inte
         hi = math.ceil(volume / throughput.lo * buffer)
     except OverflowError:
         raise ValueError("operators: must be finite, got inf") from None
-    return _interval(float(lo), float(hi))
+    return Interval(float(lo), float(hi))
 
 
 def cloud_energy_per_doc(stages: list[PipelineStage] | tuple[PipelineStage, ...]) -> float:
@@ -218,13 +217,13 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
         operators = operators_required(
             s.daily_volume, docs_per_operator_day(s.workforce), s.workforce.buffer)
     # Every term is non-negative, so a partial sum that overflows leaves
-    # its endpoint infinite and _interval reports it.
+    # its endpoint infinite and Interval() reports it.
     laptop = s.workforce.laptop_kwh_per_day
     per_doc_kwh = cloud_energy_per_doc(s.stages)
     cloud = per_doc_kwh * s.daily_volume
     overhead = s.overhead_kwh_per_day
-    energy = _interval((operators.lo * laptop + cloud) + overhead,
-                       (operators.hi * laptop + cloud) + overhead)
+    energy = Interval((operators.lo * laptop + cloud) + overhead,
+                      (operators.hi * laptop + cloud) + overhead)
     co2_kg = interval_scale(energy, profile.emission_factor_g_per_kwh / 1000.0)
     water_l = water_from_energy(energy, profile.wue)
     return DailyFootprint(
@@ -250,14 +249,14 @@ def increase_pct(base: Interval, candidate: Interval) -> Interval:
     # Endpoint-matched ratios; the pair need not arrive ordered, so sort.
     at_hi = (candidate.hi / base.hi - 1.0) * 100.0
     at_lo = (candidate.lo / base.lo - 1.0) * 100.0
-    return _interval(min(at_hi, at_lo), max(at_hi, at_lo))
+    return Interval(min(at_hi, at_lo), max(at_hi, at_lo))
 
 
 def _reduction_pct(baseline: Interval, candidate: Interval) -> Interval:
     # (1 - r) * 100 is bit-identical to 0.0 - (r - 1) * 100; subtracting
     # from 0.0 rather than negating keeps an equal pair at +0.0.
     inc = increase_pct(baseline, candidate)
-    return _interval(0.0 - inc.hi, 0.0 - inc.lo)
+    return Interval(0.0 - inc.hi, 0.0 - inc.lo)
 
 
 def compare_scenarios(baseline: DailyFootprint, candidate: DailyFootprint) -> ScenarioComparison:

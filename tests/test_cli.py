@@ -282,6 +282,56 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, prefix):
     assert not out.exists()
 
 
+# Bytes that do not decode as UTF-8 (a UTF-16 byte-order mark).
+_NOT_UTF8 = b"\xff\xfe{\x00}\x00"
+
+
+def _unreadable_config(tmp_path, data_dir):
+    config = tmp_path / "config.json"
+    config.write_bytes(_NOT_UTF8)
+    return ["scenario-compare", "--config", str(config)], "error: /: invalid JSON: "
+
+
+def _long_int_config(tmp_path, data_dir):
+    # json.dumps cannot write the 5,000-digit integer, so splice it in as text.
+    config = _config_copy(tmp_path, data_dir,
+                          lambda c: c["profiles"]["flash-prompt-2025"].update(pue="PUE"))
+    config.write_text(config.read_text().replace('"PUE"', "1" * 5000))
+    return ["scenario-compare", "--config", str(config)], "error: /: invalid JSON: "
+
+
+def _unreadable_scenario(tmp_path, data_dir):
+    config = _config_copy(tmp_path, data_dir)
+    (tmp_path / "scenarios" / "manual.json").write_bytes(_NOT_UTF8)
+    return (["scenario-compare", "--config", str(config)],
+            "error: /scenarios/0: invalid JSON: ")
+
+
+def _unreadable_text(option):
+    def setup(tmp_path, data_dir):
+        text = tmp_path / "input.txt"
+        text.write_bytes(_NOT_UTF8)
+        argv = ["usecase-run", option, str(text)] if option else ["tokens-count", str(text)]
+        return argv, f"error: bad text file {text}: 'utf-8' codec can't decode"
+    return setup
+
+
+@pytest.mark.parametrize("setup", [
+    _unreadable_config, _long_int_config, _unreadable_scenario,
+    _unreadable_text("--document"), _unreadable_text("--prompt"), _unreadable_text(None),
+], ids=["config-not-utf8", "config-long-int", "scenario-not-utf8",
+        "document-not-utf8", "prompt-not-utf8", "tokens-count-not-utf8"])
+def test_unreadable_inputs_name_their_source(tmp_path, data_dir, capsys, setup):
+    argv, prefix = setup(tmp_path, data_dir)
+    out = tmp_path / "out"
+    if argv[0] != "tokens-count":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert not out.exists()
+
 
 def _huge_agentic_volume(config_path):
     agentic = config_path.parent / "scenarios" / "agentic.json"

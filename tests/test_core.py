@@ -1,6 +1,9 @@
+import dataclasses
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from docfootprint import (
     Carbon,
@@ -18,6 +21,7 @@ from docfootprint import (
     thinking_delta,
     water_from_energy,
 )
+from docfootprint.core import _require_number
 
 
 def test_interval_rejects_inverted_bounds():
@@ -62,6 +66,63 @@ def test_computed_intervals_keep_the_constructor_checks():
         assert str(info.value) == "lo: must be finite, got inf"
     total = interval_add(Interval(1, 2), Interval(3, 4))
     assert type(total.lo) is float and total == Interval(4.0, 6.0)
+
+
+class _Float(float):
+    pass
+
+
+_MAX = sys.float_info.max
+_endpoints = st.one_of(
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, _MAX, -_MAX,
+                     math.nan, math.inf, -math.inf]),
+    st.floats().map(_Float),
+    st.integers(),
+    st.sampled_from([10 ** 400, -10 ** 400, 2 ** 1024, 2 ** 1024 - 2 ** 970]),
+    st.booleans(),
+    st.sampled_from([None, "1"]),
+)
+
+
+def _reference_interval(lo, hi):
+    """The stored endpoints Interval(lo, hi) must have, or the message it must raise."""
+    try:
+        lo = _require_number(lo, "lo")
+        hi = _require_number(hi, "hi")
+    except ValueError as exc:
+        return str(exc)
+    if lo > hi:
+        return f"invalid interval: lo {lo} > hi {hi}"
+    return lo, hi
+
+
+def _built(make):
+    try:
+        iv = make()
+    except ValueError as exc:
+        return str(exc)
+    assert type(iv.lo) is float and type(iv.hi) is float
+    return iv.lo, iv.hi
+
+
+def _same(got, expected):
+    # repr tells -0.0 from 0.0, which == does not.
+    return repr(got) == repr(expected)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(lo=_endpoints, hi=_endpoints, new=_endpoints)
+def test_interval_constructor_matches_the_checks(lo, hi, new):
+    expected = _reference_interval(lo, hi)
+    assert _same(_built(lambda: Interval(lo, hi)), expected)
+    assert _same(_built(lambda: Interval(lo=lo, hi=hi)), expected)
+    if isinstance(expected, tuple):
+        iv = Interval(lo, hi)
+        assert _same(_built(lambda: dataclasses.replace(iv, hi=new)),
+                     _reference_interval(iv.lo, new))
+        assert _same(_built(lambda: dataclasses.replace(iv, lo=new)),
+                     _reference_interval(new, iv.hi))
 
 
 def test_interval_point_and_helpers():
