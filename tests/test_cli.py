@@ -228,10 +228,11 @@ def _config_copy(tmp_path, data_dir, edit_config=None, edit_manual=None):
     shutil.copytree(data_dir / "scenarios", tmp_path / "scenarios")
     config = json.loads((data_dir / "config.json").read_text())
     manual = json.loads((data_dir / "scenarios" / "manual.json").read_text())
+    # An edit changes its object in place or returns a replacement.
     if edit_config:
-        edit_config(config)
+        config = edit_config(config) or config
     if edit_manual:
-        edit_manual(manual)
+        manual = edit_manual(manual) or manual
     (tmp_path / "config.json").write_text(json.dumps(config))
     (tmp_path / "scenarios" / "manual.json").write_text(json.dumps(manual))
     return tmp_path / "config.json"
@@ -245,26 +246,52 @@ def _manual_edit(workforce, **fields):
     return edit
 
 
-@pytest.mark.parametrize("edit_config, edit_manual", [
-    (lambda c: c.update(scenario_profile=[]), None),
-    (None, lambda s: s.update(stages=5)),
-    (None, lambda s: s.update(stages=None)),
-    (None, lambda s: s.update(daily_volume=10 ** 400)),
-    (lambda c: c["profiles"]["flash-prompt-2025"].update(pue=10 ** 400), None),
-    (None, _manual_edit({"per_doc_time_s": [1e-320, 1800]}, operators_override=None)),
-    (None, _manual_edit({"buffer": 1e308}, daily_volume=10 ** 10, operators_override=None)),
-    (None, _manual_edit({"laptop_kwh_per_day": 1e300}, operators_override=[0, 1e10])),
-    (None, _manual_edit({"per_doc_time_s": [30000, 40000]}, operators_override=None)),
+@pytest.mark.parametrize("edit_config, edit_manual, message", [
+    (lambda c: c.update(scenario_profile=[]), None,
+     "/scenario_profile: expected str, got list"),
+    (None, lambda s: s.update(stages=5), "/scenarios/0: stages: expected list, got int"),
+    (None, lambda s: s.update(stages=None),
+     "/scenarios/0: stages: expected list, got NoneType"),
+    (None, lambda s: s.update(daily_volume=10 ** 400),
+     "/scenarios/0: daily_volume: must be finite, got an integer too large for a float"),
+    (lambda c: c["profiles"]["flash-prompt-2025"].update(pue=10 ** 400), None,
+     "/profiles/flash-prompt-2025: pue: must be finite, got an integer too large for a float"),
+    (None, _manual_edit({"per_doc_time_s": [1e-320, 1800]}, operators_override=None),
+     "/scenarios/0: throughput: must be finite, got inf"),
+    (None, _manual_edit({"buffer": 1e308}, daily_volume=10 ** 10, operators_override=None),
+     "/scenarios/0: operators: must be finite, got inf"),
+    (None, _manual_edit({"laptop_kwh_per_day": 1e300}, operators_override=[0, 1e10]),
+     "/scenarios/0: hi: must be finite, got inf"),
+    (None, _manual_edit({"per_doc_time_s": [30000, 40000]}, operators_override=None),
+     "/scenarios/0: throughput.lo must be >= 1 (zero throughput)"),
+    (lambda c: [c], None, "/: expected a JSON object"),
+    (lambda c: c.update(profiles={}), None, "/profiles: expected a non-empty object"),
+    (lambda c: c["scenarios"].__setitem__(1, 7), None,
+     "/scenarios/1: expected a file path string"),
+    (lambda c: c["scenarios"].append(c["scenarios"][0]), None,
+     "/scenarios/3: duplicate scenario name 'manual'"),
+    (None, _manual_edit({}, daily_volume=1.5), "/scenarios/0: daily_volume must be an integer"),
+    (None, _manual_edit({}, stages=[{"name": "", "energy_wh_per_doc": 0.5}]),
+     "/scenarios/0: stages[0]: stage name must be a non-empty string"),
+    (None, _manual_edit({}, stages=[{"name": "ocr", "energy_wh_per_doc": -0.5}]),
+     "/scenarios/0: stages[0]: energy_wh_per_doc must be >= 0"),
+    (None, _manual_edit({"shift_hours": 0}), "/scenarios/0: shift_hours must be > 0"),
+    (None, _manual_edit({"laptop_kwh_per_day": -0.48}),
+     "/scenarios/0: laptop_kwh_per_day must be >= 0"),
+    (None, _manual_edit({}, overhead_kwh_per_day=-2.7),
+     "/scenarios/0: overhead_kwh_per_day must be >= 0"),
 ], ids=["profile-binding-list", "stages-int", "stages-null", "huge-volume", "huge-pue",
-        "tiny-per-doc-time", "huge-buffer", "energy-overflow", "zero-throughput"])
+        "tiny-per-doc-time", "huge-buffer", "energy-overflow", "zero-throughput",
+        "config-array", "no-profiles", "scenario-ref-int", "duplicate-scenario",
+        "fractional-volume", "empty-stage-name", "negative-stage-energy", "zero-shift",
+        "negative-laptop", "negative-overhead"])
 def test_malformed_config_is_an_input_error(tmp_path, data_dir, capsys,
-                                            edit_config, edit_manual):
+                                            edit_config, edit_manual, message):
     config = _config_copy(tmp_path, data_dir, edit_config, edit_manual)
     out = tmp_path / "out"
     code = main(["scenario-compare", "--config", str(config), "--out", str(out)])
-    err = capsys.readouterr().err
     assert code == 2
-    assert err.startswith("error: /") and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -349,7 +376,9 @@ def _huge_emission_factor(config_path):
 @pytest.mark.parametrize("edit, argv, value", [
     (_huge_agentic_volume, ["scenario-compare"], "-3.705234159779614e+37"),
     (_huge_emission_factor, ["thinking-delta", "1", "1000"], "2.4e+296"),
-], ids=["scenario-compare-huge-volume", "thinking-delta-huge-emission-factor"])
+    (_huge_emission_factor, ["scenario-compare"], "3.63E+298"),
+], ids=["scenario-compare-huge-volume", "thinking-delta-huge-emission-factor",
+        "scenario-compare-huge-emission-factor"])
 def test_values_too_large_to_present_are_input_errors(tmp_path, data_dir, capsys,
                                                       edit, argv, value):
     config = _config_copy(tmp_path, data_dir)

@@ -218,6 +218,8 @@ def test_apply_pue():
     assert apply_pue(2.5, 1.09) == pytest.approx(2.725, abs=1e-12)
     with pytest.raises(ValueError):
         apply_pue(1.0, 0.99)
+    with pytest.raises(ValueError, match="energy must be >= 0"):
+        apply_pue(-0.5, 1.09)
 
 
 def test_apply_pue_never_decreases():
@@ -231,6 +233,8 @@ def test_co2_from_energy(flash):
     assert co2_from_energy(0.0, 288) == 0.0
     with pytest.raises(ValueError):
         co2_from_energy(1.0, 0)
+    with pytest.raises(ValueError, match="energy must be >= 0"):
+        co2_from_energy(-1.0, 288)
 
 
 def test_water_from_energy(flash):

@@ -2,8 +2,10 @@
 
 Each case runs `cli.main` in-process from an empty working directory
 with `--out reports`, then compares stdout and every written file with
-the copies under tests/golden/<case>/. The golden files are the
-reference outputs; a refactor must leave all of them unchanged.
+the copies under tests/golden/<case>/. The `--help` text of the top
+level and of each subcommand, wrapped at 80 columns, is pinned under
+tests/golden/help/. The golden files are the reference outputs; a
+refactor must leave all of them unchanged.
 """
 
 import shutil
@@ -61,3 +63,19 @@ def test_cli_output_matches_golden(case, tmp_path, monkeypatch, capsys):
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, f"{case}: {name} differs from its golden copy"
+
+
+HELP_CASES = ["docfootprint", "scenario-compare", "usecase-run", "thinking-delta",
+              "tokens-count", "report-emit"]
+
+
+@pytest.mark.parametrize("command", HELP_CASES)
+def test_help_matches_golden(command, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [] if command == "docfootprint" else [command]
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN_DIR / "help" / f"{command}.txt").read_bytes()

@@ -60,6 +60,10 @@ def test_operators_required_zero_volume():
 def test_operators_required_rejects_zero_throughput():
     with pytest.raises(ValueError, match="zero throughput"):
         operators_required(100, Interval(0, 10), 1.15)
+    with pytest.raises(ValueError, match="volume must be >= 0"):
+        operators_required(-1, Interval(210, 840), 1.15)
+    with pytest.raises(ValueError, match="buffer >= 1 required"):
+        operators_required(100, Interval(210, 840), 0.9)
 
 
 def test_operators_required_monotone():
