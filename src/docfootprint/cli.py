@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .core import thinking_delta
+from .core import _MAX_TOKENS, thinking_delta
 from .pipeline import (
     COMPLEXITY_NORMALIZATION_FACTOR,
     THINKING_NORMALIZATION_FACTOR,
@@ -58,6 +58,26 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"bad text file {path}: {exc}") from None
+
+
+def _token_arg(text: str) -> int | str:
+    """A command-line token count: its int, or the text when it is not one.
+
+    thinking_delta checks the value, so every bad count gets its
+    one-line message there. int() refuses more than 4,300 digits; a
+    count that long is out of range, so it comes back as the nearest
+    value outside the range on its side.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        body = text.strip()
+        negative = body.startswith("-")
+        if body[:1] in ("+", "-"):
+            body = body[1:]
+        if not body.isdecimal():
+            return text
+        return -1 if negative else _MAX_TOKENS + 1
 
 
 def _resolve_ledger(value: str | None) -> TokenLedger | None:
@@ -161,11 +181,14 @@ def _cmd_thinking_delta(args) -> int:
 
 
 def _cmd_tokens_count(args) -> int:
+    # Count every file before printing any, so a bad file leaves stdout empty.
+    lines = []
     for name in args.files:
         path = Path(name)
         if not path.is_file():
             raise ValueError(f"file not found: {path}")
-        print(f"{count_tokens(_read_text(path))}\t{name}")
+        lines.append(f"{count_tokens(_read_text(path))}\t{name}")
+    print("\n".join(lines))
     return 0
 
 
@@ -222,8 +245,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("thinking-delta",
                        help="marginal energy/CO2/water of reasoning tokens")
-    p.add_argument("base_tokens", type=int)
-    p.add_argument("thinking_tokens", type=int)
+    p.add_argument("base_tokens", type=_token_arg)
+    p.add_argument("thinking_tokens", type=_token_arg)
     _add_common_config(p)
     p.add_argument("--profile", default=None,
                    help="profile name (default: the config's scenario binding)")

@@ -184,8 +184,13 @@ _NINES = int("9" * 400)
     (["report-emit"], dict(_ZERO_LEDGER, document=_NINES), "document must be <= 10**15"),
     (["thinking-delta", "1", str(10 ** 28)], None, "thinking_tokens must be <= 10**15"),
     (["thinking-delta", "1", str(_NINES)], None, "thinking_tokens must be <= 10**15"),
+    # More digits than int() converts by default.
+    (["thinking-delta", "1", "1" * 5000], None, "thinking_tokens must be <= 10**15"),
+    (["thinking-delta", "1", "-" + "1" * 5000], None, "thinking_tokens must be >= 0"),
+    (["thinking-delta", "x", "1"], None, "base_tokens must be an integer"),
 ], ids=["usecase-zero-total", "report-zero-total", "usecase-huge-count",
-        "report-huge-count", "thinking-1e28", "thinking-400-digits"])
+        "report-huge-count", "thinking-1e28", "thinking-400-digits", "thinking-5000-digits",
+        "thinking-negative-5000-digits", "thinking-not-an-integer"])
 def test_bad_token_counts_are_input_errors(tmp_path, capsys, argv, ledger, message):
     out = tmp_path / "reports"
     if ledger is not None:
@@ -193,8 +198,10 @@ def test_bad_token_counts_are_input_errors(tmp_path, capsys, argv, ledger, messa
         path.write_text(json.dumps(ledger))
         argv = [*argv, "--ledger", str(path), "--out", str(out)]
     assert main(argv) == 2
-    err = capsys.readouterr().err
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.startswith("error: ") and err.endswith(message + "\n") and err.count("\n") == 1
+    assert captured.out == ""
     assert not out.exists()
 
 
@@ -343,11 +350,28 @@ def _unreadable_text(option):
     return setup
 
 
+def _readable_then(setup):
+    """tokens-count of a readable file followed by the file setup gives."""
+    def setup_both(tmp_path, data_dir):
+        good = tmp_path / "good.txt"
+        good.write_text("one readable line\n")
+        argv, prefix = setup(tmp_path, data_dir)
+        return [argv[0], str(good), *argv[1:]], prefix
+    return setup_both
+
+
+def _missing_text(tmp_path, data_dir):
+    missing = tmp_path / "missing.txt"
+    return ["tokens-count", str(missing)], f"error: file not found: {missing}"
+
+
 @pytest.mark.parametrize("setup", [
     _unreadable_config, _long_int_config, _unreadable_scenario,
     _unreadable_text("--document"), _unreadable_text("--prompt"), _unreadable_text(None),
+    _readable_then(_unreadable_text(None)), _readable_then(_missing_text),
 ], ids=["config-not-utf8", "config-long-int", "scenario-not-utf8",
-        "document-not-utf8", "prompt-not-utf8", "tokens-count-not-utf8"])
+        "document-not-utf8", "prompt-not-utf8", "tokens-count-not-utf8",
+        "tokens-count-good-then-not-utf8", "tokens-count-good-then-missing"])
 def test_unreadable_inputs_name_their_source(tmp_path, data_dir, capsys, setup):
     argv, prefix = setup(tmp_path, data_dir)
     out = tmp_path / "out"
