@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import logging
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -71,13 +72,9 @@ def _token_arg(text: str) -> int | str:
     try:
         return int(text)
     except ValueError:
-        body = text.strip()
-        negative = body.startswith("-")
-        if body[:1] in ("+", "-"):
-            body = body[1:]
-        if not body.isdecimal():
+        if not re.fullmatch(r"\s*[+-]?\d+\s*", text):
             return text
-        return -1 if negative else _MAX_TOKENS + 1
+        return -1 if text.strip().startswith("-") else _MAX_TOKENS + 1
 
 
 def _resolve_ledger(value: str | None) -> TokenLedger | None:

@@ -51,6 +51,12 @@ def _require_tokens(value, name: str) -> None:
 _set_field = object.__setattr__
 
 
+def _require_number_fields(record, *names: str) -> None:
+    """Check each named field of a frozen record and store it as a float."""
+    for name in names:
+        _set_field(record, name, _require_number(getattr(record, name), name))
+
+
 @dataclass(frozen=True, init=False)
 class Interval:
     """Closed numeric range [lo, hi]. A point value has lo == hi."""
@@ -140,10 +146,9 @@ class EnergyRate:
     wh_per_kilo_token: float
 
     def __post_init__(self):
-        rate = _require_number(self.wh_per_kilo_token, "wh_per_kilo_token")
-        object.__setattr__(self, "wh_per_kilo_token", rate)
-        if rate <= 0:
-            raise ValueError(f"wh_per_kilo_token must be > 0, got {rate}")
+        _require_number_fields(self, "wh_per_kilo_token")
+        if self.wh_per_kilo_token <= 0:
+            raise ValueError(f"wh_per_kilo_token must be > 0, got {self.wh_per_kilo_token}")
 
 
 @dataclass(frozen=True)
@@ -163,20 +168,16 @@ class FootprintProfile:
     co2_per_prompt_g: float
 
     def __post_init__(self):
-        pue = _require_number(self.pue, "pue")
-        factor = _require_number(self.emission_factor_g_per_kwh, "emission_factor_g_per_kwh")
-        per_prompt = _require_number(self.co2_per_prompt_g, "co2_per_prompt_g")
-        object.__setattr__(self, "pue", pue)
-        object.__setattr__(self, "emission_factor_g_per_kwh", factor)
-        object.__setattr__(self, "co2_per_prompt_g", per_prompt)
-        if pue < 1.0:
-            raise ValueError(f"pue >= 1 required, got {pue}")
+        _require_number_fields(self, "pue", "emission_factor_g_per_kwh", "co2_per_prompt_g")
+        if self.pue < 1.0:
+            raise ValueError(f"pue >= 1 required, got {self.pue}")
         if self.wue.lo <= 0:
             raise ValueError(f"wue.lo must be > 0, got {self.wue.lo}")
-        if factor <= 0:
-            raise ValueError(f"emission_factor_g_per_kwh must be > 0, got {factor}")
-        if per_prompt < 0:
-            raise ValueError(f"co2_per_prompt_g must be >= 0, got {per_prompt}")
+        if self.emission_factor_g_per_kwh <= 0:
+            raise ValueError(
+                f"emission_factor_g_per_kwh must be > 0, got {self.emission_factor_g_per_kwh}")
+        if self.co2_per_prompt_g < 0:
+            raise ValueError(f"co2_per_prompt_g must be >= 0, got {self.co2_per_prompt_g}")
 
     @classmethod
     def from_json_obj(cls, name: str, obj: dict) -> "FootprintProfile":

@@ -30,7 +30,6 @@ from .scenarios import (
 TABLES = ("scenario_table", "reduction_table", "token_table")
 FORMATS = ("markdown", "csv", "json")
 
-_TENTH = Decimal("0.1")
 _ONE = Decimal("1")
 
 
@@ -42,19 +41,16 @@ def _dec(x: float) -> Decimal:
     return Decimal(repr(x))
 
 
-def _too_large(value) -> ValueError:
-    # quantize fails only when the rounded value needs more digits than
-    # the decimal context's 28.
-    return ValueError(f"value too large to present: {value}")
-
-
-def present(x: float, ndigits: int = 1) -> Decimal:
-    """Half-up presentation rounding of a float, returned as a Decimal."""
+def present(x: float | Decimal, ndigits: int = 1) -> Decimal:
+    """Half-up presentation rounding of a float or Decimal, returned as a Decimal."""
     quantum = _ONE.scaleb(-ndigits) if ndigits > 0 else _ONE
+    value = x if isinstance(x, Decimal) else _dec(x)
     try:
-        return _dec(x).quantize(quantum, rounding=ROUND_HALF_UP)
+        return value.quantize(quantum, rounding=ROUND_HALF_UP)
     except InvalidOperation:
-        raise _too_large(repr(x)) from None
+        # quantize fails only when the rounded value needs more digits
+        # than the decimal context's 28. A float formats as its repr.
+        raise ValueError(f"value too large to present: {x}") from None
 
 
 def present_pct(x: float) -> int:
@@ -142,33 +138,15 @@ def load_config(path: str | Path) -> Config:
     )
 
 
-@dataclass(frozen=True)
-class _Table:
-    """One presented table in every output form.
-
-    obj is the JSON form; presented Decimal cells in it are written as
-    floats. csv and markdown are (header, rows) pairs of string cells.
-    """
-
-    obj: dict
-    csv: tuple[list[str], list[list[str]]]
-    markdown: tuple[list[str], list[list[str]]]
-
-
-@dataclass(frozen=True)
-class ReportBundle:
-    """The presented tables of one report, keyed by table name."""
-
-    profile_name: str
-    config_hash: str
-    tables: dict[str, _Table]
-
-
 def build_bundle(config: Config, baseline: str,
-                 usecase: ExtractionResult | None = None) -> ReportBundle:
+                 usecase: ExtractionResult | None = None) -> dict:
     """Evaluate every scenario and build each presented table once.
 
-    The token table is present only when a usecase result is given.
+    The bundle maps "metadata" to the profile name and config hash,
+    and each table name to the table in every output form: "json" is
+    an object whose presented Decimal cells are written as floats, and
+    "csv" and "markdown" are (header, rows) pairs of string cells. The
+    token table is present only when a usecase result is given.
     """
     names = [s.name for s in config.scenarios]
     if baseline not in names:
@@ -182,25 +160,20 @@ def build_bundle(config: Config, baseline: str,
             raise ConfigError(f"/scenarios/{i}: {exc}") from None
     # Reductions first, so a zero baseline is reported before any
     # presentation step runs.
-    tables = {"reduction_table": _reduction_table(footprints, baseline),
+    bundle = {"metadata": {"profile": config.scenario_profile,
+                           "config_hash": config.config_hash},
+              "reduction_table": _reduction_table(footprints, baseline),
               "scenario_table": _scenario_table(footprints, profile)}
     if usecase is not None:
-        tables["token_table"] = _token_table(usecase.ledger)
-    return ReportBundle(config.scenario_profile, config.config_hash, tables)
-
-
-def _tenth(x: Decimal) -> Decimal:
-    try:
-        return x.quantize(_TENTH, rounding=ROUND_HALF_UP)
-    except InvalidOperation:
-        raise _too_large(x) from None
+        bundle["token_table"] = _token_table(usecase.ledger)
+    return bundle
 
 
 def _range_cell(lo, hi) -> str:
     return f"{lo} -- {hi}"
 
 
-def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintProfile) -> _Table:
+def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintProfile) -> dict:
     """Presented scenario rows.
 
     CO2 and water cells are derived from the one-decimal energy cell
@@ -216,8 +189,8 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
     for name, fp in footprints.items():
         operators = [int(fp.operators.lo), int(fp.operators.hi)]
         energy = [present(fp.energy_kwh.lo, 1), present(fp.energy_kwh.hi, 1)]
-        co2 = [_tenth(energy[0] * ef), _tenth(energy[1] * ef)]
-        water = [_tenth(energy[0] * wue_lo), _tenth(energy[1] * wue_hi)]
+        co2 = [present(energy[0] * ef, 1), present(energy[1] * ef, 1)]
+        water = [present(energy[0] * wue_lo, 1), present(energy[1] * wue_hi, 1)]
         per_doc = f"{fp.energy_per_doc_kwh:.6f}"
         rows.append({
             "scenario": name,
@@ -235,8 +208,8 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
                   "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
     md_header = ["Scenario", "Operators", "Energy (kWh/day)", "CO2 (kg/day)",
                  "Water (L/day)", "Energy per doc (kWh)"]
-    return _Table({"table": "scenario_table", "rows": rows},
-                  (csv_header, csv_rows), (md_header, md_rows))
+    return {"json": {"table": "scenario_table", "rows": rows},
+            "csv": (csv_header, csv_rows), "markdown": (md_header, md_rows)}
 
 
 def _pct_pair(iv: Interval) -> list[int]:
@@ -250,7 +223,7 @@ def _increase_cell(lo: int, hi: int) -> str:
 _METRICS = (("energy", "energy_kwh"), ("co2", "co2_kg"), ("water", "water_l"))
 
 
-def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> _Table:
+def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> dict:
     """Reductions of every other scenario against the baseline, and the
     increase of each of those scenarios over the one before it.
 
@@ -282,11 +255,11 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> _T
     md_header = ["Metric"]
     md_header += [f"{key} vs {baseline} (reduction %)" for key in reduction_keys]
     md_header += [f"{key.replace('_vs_', ' vs ')} (increase %)" for key in increase_keys]
-    return _Table({"table": "reduction_table", "baseline": baseline, "rows": rows},
-                  (csv_header, csv_rows), (md_header, md_rows))
+    return {"json": {"table": "reduction_table", "baseline": baseline, "rows": rows},
+            "csv": (csv_header, csv_rows), "markdown": (md_header, md_rows)}
 
 
-def _token_table(ledger: TokenLedger) -> _Table:
+def _token_table(ledger: TokenLedger) -> dict:
     shares = ledger_shares(ledger)
     rows = [{"component": name, "tokens": getattr(ledger, name), "share_pct": share}
             for name, share in shares.items()]
@@ -296,33 +269,34 @@ def _token_table(ledger: TokenLedger) -> _Table:
            "total_tokens": total, "total_share_pct": total_share}
     csv_rows = [[r["component"], str(r["tokens"]), str(r["share_pct"])] for r in rows]
     md_rows = [[r["component"], f"{r['tokens']:,}", str(r["share_pct"])] for r in rows]
-    return _Table(obj, (["component", "tokens", "share_pct"],
-                        csv_rows + [["total", str(total), str(total_share)]]),
-                  (["Component", "Tokens", "Share (%)"],
-                   md_rows + [["TOTAL", f"{total:,}", str(total_share)]]))
+    return {"json": obj,
+            "csv": (["component", "tokens", "share_pct"],
+                    csv_rows + [["total", str(total), str(total_share)]]),
+            "markdown": (["Component", "Tokens", "Share (%)"],
+                         md_rows + [["TOTAL", f"{total:,}", str(total_share)]])}
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2, default=float) + "\n"
 
 
-def _markdown_text(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["| " + " | ".join(header) + " |",
-             "| " + " | ".join("---" for _ in header) + " |"]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+def _markdown_text(table: tuple[list[str], list[list[str]]]) -> str:
+    header, rows = table
+    return "".join("| " + " | ".join(row) + " |\n"
+                   for row in (header, ["---"] * len(header), *rows))
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(table: tuple[list[str], list[list[str]]]) -> str:
+    header, rows = table
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows((header, *rows))
     return buf.getvalue()
 
 
-def emit_table(bundle: ReportBundle, which: str, fmt: str = "markdown") -> str:
+_RENDERERS = {"markdown": _markdown_text, "csv": _csv_text, "json": _json_text}
+
+
+def emit_table(bundle: dict, which: str, fmt: str = "markdown") -> str:
     """Render one of the bundle's tables as markdown, CSV, or JSON text.
 
     All three formats encode the same presented numbers; emission is a
@@ -332,48 +306,33 @@ def emit_table(bundle: ReportBundle, which: str, fmt: str = "markdown") -> str:
         raise ValueError(f"unknown table {which!r}; choices: {', '.join(TABLES)}")
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; choices: {', '.join(FORMATS)}")
-    table = bundle.tables.get(which)
+    table = bundle.get(which)
     if table is None:
         raise ValueError("no usecase data in bundle")
-    if fmt == "json":
-        return _json_text(table.obj)
-    if fmt == "csv":
-        return _csv_text(*table.csv)
-    return _markdown_text(*table.markdown)
+    return _RENDERERS[fmt](table[fmt])
 
 
-def plot_data_obj(bundle: ReportBundle) -> list[dict]:
+def plot_data_obj(bundle: dict) -> list[dict]:
     """Series records (scenario x metric) carrying the presented bounds."""
     records = []
-    for row in bundle.tables["scenario_table"].obj["rows"]:
+    for row in bundle["scenario_table"]["json"]["rows"]:
         for metric in ("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"):
             lo, hi = row[metric]
-            records.append({
-                "scenario": row["scenario"],
-                "metric": metric,
-                "lo": float(lo),
-                "hi": float(hi),
-                "mid": float((lo + hi) / 2),
-            })
+            records.append({"scenario": row["scenario"], "metric": metric,
+                            "lo": float(lo), "hi": float(hi), "mid": float((lo + hi) / 2)})
     return records
 
 
-def emit_plot_data(bundle: ReportBundle) -> str:
+def emit_plot_data(bundle: dict) -> str:
     return _json_text(plot_data_obj(bundle))
 
 
-def emit_bundle_json(bundle: ReportBundle) -> str:
+def emit_bundle_json(bundle: dict) -> str:
     """Machine-readable bundle: metadata plus every table it carries."""
-    tables = bundle.tables
-    obj = {
-        "metadata": {
-            "profile": bundle.profile_name,
-            "config_hash": bundle.config_hash,
-        },
-        "scenario_table": tables["scenario_table"].obj,
-        "reduction_table": tables["reduction_table"].obj,
-        "plot_data": plot_data_obj(bundle),
-    }
-    if "token_table" in tables:
-        obj["token_table"] = tables["token_table"].obj
+    obj = {"metadata": bundle["metadata"],
+           "scenario_table": bundle["scenario_table"]["json"],
+           "reduction_table": bundle["reduction_table"]["json"],
+           "plot_data": plot_data_obj(bundle)}
+    if "token_table" in bundle:
+        obj["token_table"] = bundle["token_table"]["json"]
     return _json_text(obj)

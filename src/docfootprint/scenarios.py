@@ -17,6 +17,7 @@ from .core import (
     Interval,
     _json_fields,
     _require_number,
+    _require_number_fields,
     interval_scale,
     water_from_energy,
 )
@@ -37,8 +38,8 @@ class WorkforceParams:
     laptop_kwh_per_day: float = 0.48
 
     def __post_init__(self):
-        for name in ("shift_hours", "productive_hours", "buffer", "laptop_kwh_per_day"):
-            object.__setattr__(self, name, _require_number(getattr(self, name), name))
+        _require_number_fields(
+            self, "shift_hours", "productive_hours", "buffer", "laptop_kwh_per_day")
         if self.shift_hours <= 0:
             raise ValueError("shift_hours must be > 0")
         if self.productive_hours <= 0 or self.productive_hours > self.shift_hours:
@@ -77,9 +78,8 @@ class PipelineStage:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("stage name must be a non-empty string")
-        energy = _require_number(self.energy_wh_per_doc, "energy_wh_per_doc")
-        object.__setattr__(self, "energy_wh_per_doc", energy)
-        if energy < 0:
+        _require_number_fields(self, "energy_wh_per_doc")
+        if self.energy_wh_per_doc < 0:
             raise ValueError("energy_wh_per_doc must be >= 0")
 
 
@@ -104,9 +104,8 @@ class Scenario:
         if self.daily_volume < 0:
             raise ValueError("daily_volume must be >= 0")
         object.__setattr__(self, "stages", tuple(self.stages))
-        overhead = _require_number(self.overhead_kwh_per_day, "overhead_kwh_per_day")
-        object.__setattr__(self, "overhead_kwh_per_day", overhead)
-        if overhead < 0:
+        _require_number_fields(self, "overhead_kwh_per_day")
+        if self.overhead_kwh_per_day < 0:
             raise ValueError("overhead_kwh_per_day must be >= 0")
         ov = self.operators_override
         if ov is not None:
