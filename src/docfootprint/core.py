@@ -73,12 +73,9 @@ class Interval:
             self.__post_init__()
 
     def __post_init__(self):
-        lo = _require_number(self.lo, "lo")
-        hi = _require_number(self.hi, "hi")
-        _set_field(self, "lo", lo)
-        _set_field(self, "hi", hi)
-        if lo > hi:
-            raise ValueError(f"invalid interval: lo {lo} > hi {hi}")
+        _require_number_fields(self, "lo", "hi")
+        if self.lo > self.hi:
+            raise ValueError(f"invalid interval: lo {self.lo} > hi {self.hi}")
 
     def midpoint(self) -> float:
         return (self.lo + self.hi) / 2.0

@@ -43,7 +43,7 @@ def _dec(x: float) -> Decimal:
 
 def present(x: float | Decimal, ndigits: int = 1) -> Decimal:
     """Half-up presentation rounding of a float or Decimal, returned as a Decimal."""
-    quantum = _ONE.scaleb(-ndigits) if ndigits > 0 else _ONE
+    quantum = _ONE.scaleb(-ndigits)
     value = x if isinstance(x, Decimal) else _dec(x)
     try:
         return value.quantize(quantum, rounding=ROUND_HALF_UP)
@@ -318,8 +318,13 @@ def plot_data_obj(bundle: dict) -> list[dict]:
     for row in bundle["scenario_table"]["json"]["rows"]:
         for metric in ("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"):
             lo, hi = row[metric]
-            records.append({"scenario": row["scenario"], "metric": metric,
-                            "lo": float(lo), "hi": float(hi), "mid": float((lo + hi) / 2)})
+            records.append({
+                "scenario": row["scenario"],
+                "metric": metric,
+                "lo": float(lo),
+                "hi": float(hi),
+                "mid": float((lo + hi) / 2),
+            })
     return records
 
 
@@ -329,10 +334,12 @@ def emit_plot_data(bundle: dict) -> str:
 
 def emit_bundle_json(bundle: dict) -> str:
     """Machine-readable bundle: metadata plus every table it carries."""
-    obj = {"metadata": bundle["metadata"],
-           "scenario_table": bundle["scenario_table"]["json"],
-           "reduction_table": bundle["reduction_table"]["json"],
-           "plot_data": plot_data_obj(bundle)}
+    obj = {
+        "metadata": bundle["metadata"],
+        "scenario_table": bundle["scenario_table"]["json"],
+        "reduction_table": bundle["reduction_table"]["json"],
+        "plot_data": plot_data_obj(bundle),
+    }
     if "token_table" in bundle:
         obj["token_table"] = bundle["token_table"]["json"]
     return _json_text(obj)
