@@ -1,15 +1,18 @@
-"""Point-sample soundness of scenario intervals, checked with Hypothesis.
+"""Soundness and invariants of scenario intervals, checked with Hypothesis.
 
 A per-doc time drawn from inside the workforce range, or an operator
 count drawn from inside the override, gives one point evaluation of the
 energy formula. That point must land inside the interval that
 evaluate_scenario reports for the whole range, for energy and for CO2.
-The run is derandomized, so every run checks the same examples.
+Energy and CO2 never fall when the volume, the per-doc time or the
+laptop draw rises, and no reduction exceeds 100%. Every run is
+derandomized, so it checks the same examples.
 """
 
+import dataclasses
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from docfootprint import (
     EnergyRate,
@@ -18,54 +21,112 @@ from docfootprint import (
     PipelineStage,
     Scenario,
     WorkforceParams,
+    compare_scenarios,
     evaluate_scenario,
 )
 from docfootprint.scenarios import SECONDS_PER_HOUR
 
+# Scenario inputs. per_doc_lo * spread stays within one productive day,
+# so throughput is >= 1.
+SCENARIO_PARAMS = st.fixed_dictionaries({
+    "volume": st.integers(0, 10 ** 6),
+    "per_doc_lo": st.floats(1.0, 600.0),
+    "spread": st.floats(1.0, 6.0),
+    "productive_hours": st.floats(1.0, 8.0),
+    "buffer": st.floats(1.0, 2.0),
+    "laptop": st.floats(0.0, 5.0),
+    "stages": st.lists(st.floats(0.0, 10.0), max_size=4),
+    "overhead": st.floats(0.0, 100.0),
+    "override": st.none() | st.tuples(st.integers(0, 500), st.integers(0, 500)),
+})
+EMISSION_FACTORS = st.floats(1.0, 1000.0)
 
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-@given(
-    data=st.data(),
-    volume=st.integers(0, 10 ** 6),
-    per_doc_lo=st.floats(1.0, 600.0),
-    spread=st.floats(1.0, 6.0),
-    productive_hours=st.floats(1.0, 8.0),
-    buffer=st.floats(1.0, 2.0),
-    laptop=st.floats(0.0, 5.0),
-    stages=st.lists(st.floats(0.0, 10.0), max_size=4),
-    overhead=st.floats(0.0, 100.0),
-    override=st.none() | st.tuples(st.integers(0, 500), st.integers(0, 500)),
-    emission_factor=st.floats(1.0, 1000.0),
-)
-def test_point_samples_land_inside_energy_and_co2(
-        data, volume, per_doc_lo, spread, productive_hours, buffer, laptop,
-        stages, overhead, override, emission_factor):
-    # per_doc_hi stays within one productive day, so throughput is >= 1.
-    per_doc = Interval(per_doc_lo, per_doc_lo * spread)
+
+def _scenario(volume, per_doc_lo, spread, productive_hours, buffer, laptop,
+              stages, overhead, override) -> Scenario:
     if override is not None:
         override = Interval(override[0], override[0] + override[1])
-    scenario = Scenario(
+    return Scenario(
         name="sample",
         daily_volume=volume,
-        workforce=WorkforceParams(per_doc_time_s=per_doc, productive_hours=productive_hours,
-                                  buffer=buffer, laptop_kwh_per_day=laptop),
+        workforce=WorkforceParams(per_doc_time_s=Interval(per_doc_lo, per_doc_lo * spread),
+                                  productive_hours=productive_hours, buffer=buffer,
+                                  laptop_kwh_per_day=laptop),
         stages=tuple(PipelineStage(f"s{i}", e) for i, e in enumerate(stages)),
         overhead_kwh_per_day=overhead,
         operators_override=override,
     )
-    profile = FootprintProfile("sample", EnergyRate(0.24), 1.1, Interval(0.2, 0.5),
-                               emission_factor, 0.03)
-    fp = evaluate_scenario(scenario, profile)
+
+
+def _profile(emission_factor: float) -> FootprintProfile:
+    return FootprintProfile("sample", EnergyRate(0.24), 1.1, Interval(0.2, 0.5),
+                            emission_factor, 0.03)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(data=st.data(), params=SCENARIO_PARAMS, emission_factor=EMISSION_FACTORS)
+def test_point_samples_land_inside_energy_and_co2(data, params, emission_factor):
+    scenario = _scenario(**params)
+    fp = evaluate_scenario(scenario, _profile(emission_factor))
+    workforce, override = scenario.workforce, scenario.operators_override
 
     if override is not None:
         operators = data.draw(st.integers(int(override.lo), int(override.hi)), label="operators")
     else:
+        per_doc = workforce.per_doc_time_s
         per_doc_time = data.draw(st.floats(per_doc.lo, per_doc.hi), label="per_doc_time")
-        docs_per_day = math.floor(productive_hours * SECONDS_PER_HOUR / per_doc_time)
-        operators = math.ceil(volume / docs_per_day * buffer)
-    energy = (operators * laptop + fp.energy_per_doc_kwh * volume) + overhead
+        docs_per_day = math.floor(workforce.productive_hours * SECONDS_PER_HOUR / per_doc_time)
+        operators = math.ceil(scenario.daily_volume / docs_per_day * workforce.buffer)
+    energy = (operators * workforce.laptop_kwh_per_day
+              + fp.energy_per_doc_kwh * scenario.daily_volume) + scenario.overhead_kwh_per_day
     co2 = energy * (emission_factor / 1000.0)
 
     assert fp.operators.contains(operators)
     assert fp.energy_kwh.contains(energy)
     assert fp.co2_kg.contains(co2)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(params=SCENARIO_PARAMS, emission_factor=EMISSION_FACTORS,
+       extra_volume=st.integers(0, 10 ** 6), slower=st.floats(1.0, 3.0),
+       extra_laptop=st.floats(0.0, 5.0))
+def test_energy_and_co2_never_fall_when_an_input_rises(
+        params, emission_factor, extra_volume, slower, extra_laptop):
+    profile = _profile(emission_factor)
+    scenario = _scenario(**params)
+    workforce = scenario.workforce
+    # The slower per-doc time stays within one productive day.
+    per_doc_hi = min(workforce.per_doc_time_s.hi * slower,
+                     workforce.productive_hours * SECONDS_PER_HOUR)
+    per_doc = Interval(min(workforce.per_doc_time_s.lo * slower, per_doc_hi), per_doc_hi)
+    raised = [
+        dataclasses.replace(scenario, daily_volume=scenario.daily_volume + extra_volume),
+        dataclasses.replace(scenario, workforce=dataclasses.replace(
+            workforce, per_doc_time_s=per_doc)),
+        dataclasses.replace(scenario, workforce=dataclasses.replace(
+            workforce, laptop_kwh_per_day=workforce.laptop_kwh_per_day + extra_laptop)),
+    ]
+    before = evaluate_scenario(scenario, profile)
+    for variant in raised:
+        after = evaluate_scenario(variant, profile)
+        for field in ("energy_kwh", "co2_kg"):
+            low, high = getattr(before, field), getattr(after, field)
+            assert high.lo >= low.lo and high.hi >= low.hi, (variant, field)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(baseline=SCENARIO_PARAMS, candidate=SCENARIO_PARAMS, emission_factor=EMISSION_FACTORS)
+def test_reductions_are_at_most_100_percent(baseline, candidate, emission_factor):
+    profile = _profile(emission_factor)
+    base = evaluate_scenario(_scenario(**baseline), profile)
+    assume(min(base.energy_kwh.lo, base.co2_kg.lo, base.water_l.lo) > 0)
+    try:
+        comparison = compare_scenarios(base, evaluate_scenario(_scenario(**candidate), profile))
+    except ValueError as exc:
+        # A ratio over a subnormal baseline can overflow; it is rejected,
+        # never reported.
+        assert "must be finite, got inf" in str(exc)
+        return
+    for reduction in (comparison.energy_reduction_pct, comparison.co2_reduction_pct,
+                      comparison.water_reduction_pct):
+        assert reduction.lo <= reduction.hi <= 100.0
