@@ -1,4 +1,7 @@
 import json
+import sys
+import types
+from pathlib import Path
 
 import pytest
 
@@ -45,3 +48,13 @@ def prompt_text(fixtures_dir):
 def measured_ledger(fixtures_dir):
     obj = json.loads((fixtures_dir / "ledger.json").read_text(encoding="utf-8"))
     return TokenLedger.from_json_obj(obj)
+
+
+@pytest.fixture
+def perfbench_gen(monkeypatch):
+    """perfbench/gen.py, loaded without writing bytecode next to it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    module = types.ModuleType("perfbench_gen")
+    monkeypatch.setitem(sys.modules, module.__name__, module)
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
+    return module

@@ -1,9 +1,6 @@
 import dataclasses
 import logging
-import sys
-import types
 from decimal import Decimal
-from pathlib import Path
 
 import pytest
 
@@ -150,18 +147,9 @@ def test_render_output_matches_reference_fixture(invoice_text, fixtures_dir):
     assert render_output_json(parse_invoice(invoice_text)) == reference
 
 
-def _benchmark_generator(monkeypatch):
-    """perfbench/gen.py, loaded without writing bytecode next to it."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    module = types.ModuleType("perfbench_gen")
-    monkeypatch.setitem(sys.modules, module.__name__, module)
-    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), module.__dict__)
-    return module
-
-
-def test_quantities_render_as_before_up_to_28_digits(invoice_text, monkeypatch):
+def test_quantities_render_as_before_up_to_28_digits(invoice_text, perfbench_gen):
     documents = [invoice_text] + [invoice.text for invoice in
-                                  _benchmark_generator(monkeypatch).invoice_corpus(1)
+                                  perfbench_gen.invoice_corpus(1)
                                   if invoice.error_kind is None]
     quantities = [item.quantity for doc in documents for item in parse_invoice(doc)]
     quantities += [Decimal(raw) for raw in ("0.0000001", "1E-7", "1.50", "120.500", "0.10",

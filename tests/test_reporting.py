@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import shutil
 
 import pytest
 
@@ -100,6 +101,31 @@ def test_load_config_missing_scenario_file(tmp_path, data_dir):
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match=r"/scenarios/0: file not found"):
         load_config(path)
+
+
+def test_scenario_refs_resolve_as_before(tmp_path, data_dir):
+    # conf/link points at real/sub, so link/.. is real/ (the kernel walks
+    # .. from the link's target), not conf/ where a decoy set lives.
+    real, conf = tmp_path / "real", tmp_path / "conf"
+    (real / "sub").mkdir(parents=True)
+    shutil.copytree(data_dir / "scenarios", real / "scenarios")
+    shutil.copytree(data_dir / "scenarios", conf / "scenarios")
+    decoy = conf / "scenarios" / "manual.json"
+    decoy.write_text(decoy.read_text().replace('"manual"', '"decoy"'))
+    (conf / "link").symlink_to(real / "sub", target_is_directory=True)
+    raw = json.loads((data_dir / "config.json").read_text())
+    raw["scenarios"] = [f"link/../{ref}" for ref in raw["scenarios"]]
+    path = conf / "config.json"
+    path.write_text(json.dumps(raw))
+    bundled = load_config(data_dir / "config.json")
+    assert load_config(path).scenarios == bundled.scenarios
+
+    raw["scenarios"][1] = "link/../scenarios/missing.json"
+    path.write_text(json.dumps(raw))
+    missing = tmp_path.resolve() / "real" / "scenarios" / "missing.json"
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == f"/scenarios/1: file not found: {missing}"
 
 
 def test_load_config_scenario_pointer(tmp_path, data_dir):
@@ -243,3 +269,28 @@ def test_bundle_json_has_hash_but_no_timestamp(full_bundle, config):
     assert obj["metadata"]["config_hash"] == config.config_hash
     assert "generated_at" not in text
     assert "token_table" in obj
+
+
+def test_bundle_json_is_one_whole_dump(config, invoice_text, prompt_text, perfbench_gen,
+                                       tmp_path):
+    """bundle.json reads as json.dumps(indent=2) of its members in order."""
+    usecase = run_pipeline(invoice_text, prompt_text, config.profiles[config.usecase_profile])
+    odd = 'hitl ü ✓ "q" \\ \n'
+    renamed = dataclasses.replace(config, scenarios=(
+        config.scenarios[0], dataclasses.replace(config.scenarios[1], name=odd),
+        config.scenarios[2]))
+    cases = [(config, "manual"), (renamed, "manual"), (renamed, odd),
+             (dataclasses.replace(config, scenarios=config.scenarios[:1]), "manual")]
+    cases += [(load_config(d.path / "config.json"), d.baseline)
+              for d in perfbench_gen.config_dirs(1, tmp_path)]
+    for cfg, baseline in cases:
+        for result in (None, usecase):
+            b = build_bundle(cfg, baseline, usecase=result)
+            whole = {"metadata": {"profile": cfg.scenario_profile,
+                                  "config_hash": cfg.config_hash},
+                     "scenario_table": json.loads(emit_table(b, "scenario_table", "json")),
+                     "reduction_table": json.loads(emit_table(b, "reduction_table", "json")),
+                     "plot_data": json.loads(emit_plot_data(b))}
+            if result is not None:
+                whole["token_table"] = json.loads(emit_table(b, "token_table", "json"))
+            assert emit_bundle_json(b) == json.dumps(whole, indent=2) + "\n"
