@@ -12,7 +12,6 @@ Exit codes are a stable contract: 0 success, 2 input error,
 from __future__ import annotations
 
 import argparse
-import logging
 import json
 import re
 import sys
@@ -112,6 +111,10 @@ def _cmd_scenario_compare(args) -> int:
 
 
 def _run_usecase(args):
+    # Only the pipeline logs, so only its subcommands import logging.
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     config = load_config(args.config)
     profile = _profile_from(config, args.profile, config.usecase_profile)
     document = _read_text(Path(args.document))
@@ -270,7 +273,6 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return 2
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:

@@ -14,7 +14,6 @@ offline behavior to model; its cost enters through the ledger.
 from __future__ import annotations
 
 import json
-import logging
 import re
 from dataclasses import dataclass
 from decimal import (
@@ -41,8 +40,6 @@ from .core import (
     inference_energy,
     water_from_energy,
 )
-
-logger = logging.getLogger(__name__)
 
 LEDGER_SOURCES = ("measured", "estimated")
 
@@ -202,7 +199,10 @@ def parse_invoice(document: str) -> list[LineItem]:
             currency=currency,
         ))
     if not items:
-        logger.warning("no invoice line items matched; returning empty result")
+        import logging  # only here, so runs that match items never import it
+
+        logging.getLogger(__name__).warning(
+            "no invoice line items matched; returning empty result")
     return items
 
 

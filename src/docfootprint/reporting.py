@@ -22,7 +22,7 @@ from .pipeline import ExtractionResult, TokenLedger, ledger_shares
 from .scenarios import (
     DailyFootprint,
     Scenario,
-    compare_scenarios,
+    _reduction_pct,
     evaluate_scenario,
     increase_pct,
 )
@@ -68,8 +68,6 @@ class Config:
 
 
 def _load_json(path: Path, pointer: str) -> object:
-    if not path.is_file():
-        raise ConfigError(f"{pointer}: file not found: {path}")
     try:
         return json.loads(path.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:
@@ -85,6 +83,8 @@ def load_config(path: str | Path) -> Config:
     JSON-pointer of the offending element.
     """
     path = Path(path)
+    if not path.is_file():
+        raise ConfigError(f"/: file not found: {path}")
     raw = _load_json(path, "/")
     if not isinstance(raw, dict):
         raise ConfigError("/: expected a JSON object")
@@ -113,7 +113,9 @@ def load_config(path: str | Path) -> Config:
     for i, ref in enumerate(raw["scenarios"]):
         if not isinstance(ref, str):
             raise ConfigError(f"/scenarios/{i}: expected a file path string")
-        scenario_path = (path.parent / ref).resolve()
+        scenario_path = path.parent / ref
+        if not scenario_path.is_file():
+            raise ConfigError(f"/scenarios/{i}: file not found: {scenario_path.resolve()}")
         scenario_raw = _load_json(scenario_path, f"/scenarios/{i}")
         scenario_raws.append(scenario_raw)
         try:
@@ -140,13 +142,13 @@ def load_config(path: str | Path) -> Config:
 
 def build_bundle(config: Config, baseline: str,
                  usecase: ExtractionResult | None = None) -> dict:
-    """Evaluate every scenario and build each presented table once.
+    """Evaluate every scenario and render each presented table once.
 
     The bundle maps "metadata" to the profile name and config hash,
-    and each table name to the table in every output form: "json" is
-    an object whose presented Decimal cells are written as floats, and
-    "csv" and "markdown" are (header, rows) pairs of string cells. The
-    token table is present only when a usecase result is given.
+    each table name to its final text in every format ({"markdown",
+    "csv", "json"} to str), and "plot_data" to the plot series' JSON
+    text. The token table is present only when a usecase result is
+    given. The emitters only look texts up.
     """
     names = [s.name for s in config.scenarios]
     if baseline not in names:
@@ -162,8 +164,8 @@ def build_bundle(config: Config, baseline: str,
     # presentation step runs.
     bundle = {"metadata": {"profile": config.scenario_profile,
                            "config_hash": config.config_hash},
-              "reduction_table": _reduction_table(footprints, baseline),
-              "scenario_table": _scenario_table(footprints, profile)}
+              "reduction_table": _reduction_table(footprints, baseline)}
+    bundle["scenario_table"], bundle["plot_data"] = _scenario_table(footprints, profile)
     if usecase is not None:
         bundle["token_table"] = _token_table(usecase.ledger)
     return bundle
@@ -173,8 +175,8 @@ def _range_cell(lo, hi) -> str:
     return f"{lo} -- {hi}"
 
 
-def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintProfile) -> dict:
-    """Presented scenario rows.
+def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintProfile) -> tuple:
+    """Presented scenario rows, and the plot series' JSON text.
 
     CO2 and water cells are derived from the one-decimal energy cell
     in decimal arithmetic rather than from the full-precision chain;
@@ -185,21 +187,21 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
     ef = _dec(profile.emission_factor_g_per_kwh) / Decimal(1000)
     wue_lo = _dec(profile.wue.lo)
     wue_hi = _dec(profile.wue.hi)
-    rows, csv_rows, md_rows = [], [], []
+    rows, csv_rows, md_rows, records = [], [], [], []
     for name, fp in footprints.items():
         operators = [int(fp.operators.lo), int(fp.operators.hi)]
         energy = [present(fp.energy_kwh.lo, 1), present(fp.energy_kwh.hi, 1)]
         co2 = [present(energy[0] * ef, 1), present(energy[1] * ef, 1)]
         water = [present(energy[0] * wue_lo, 1), present(energy[1] * wue_hi, 1)]
         per_doc = f"{fp.energy_per_doc_kwh:.6f}"
-        rows.append({
-            "scenario": name,
-            "operators": operators,
-            "energy_kwh_per_day": energy,
-            "co2_kg_per_day": co2,
-            "water_l_per_day": water,
-            "energy_per_doc_kwh": fp.energy_per_doc_kwh,
-        })
+        row = {"scenario": name, "operators": operators}
+        for metric, (lo, hi) in zip(("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"),
+                                    (energy, co2, water)):
+            row[metric] = [float(lo), float(hi)]
+            records.append({"scenario": name, "metric": metric, "lo": float(lo),
+                            "hi": float(hi), "mid": float((lo + hi) / 2)})
+        row["energy_per_doc_kwh"] = fp.energy_per_doc_kwh
+        rows.append(row)
         cells = (operators, energy, co2, water)
         csv_rows.append([name, *(str(v) for pair in cells for v in pair), per_doc])
         md_rows.append([name, *(_range_cell(*pair) for pair in cells), per_doc])
@@ -208,8 +210,9 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
                   "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
     md_header = ["Scenario", "Operators", "Energy (kWh/day)", "CO2 (kg/day)",
                  "Water (L/day)", "Energy per doc (kWh)"]
-    return {"json": {"table": "scenario_table", "rows": rows},
-            "csv": (csv_header, csv_rows), "markdown": (md_header, md_rows)}
+    table = _render({"table": "scenario_table", "rows": rows}, csv_header, csv_rows,
+                    md_header, md_rows)
+    return table, _json_text(records)
 
 
 def _pct_pair(iv: Interval) -> list[int]:
@@ -223,6 +226,17 @@ def _increase_cell(lo: int, hi: int) -> str:
 _METRICS = (("energy", "energy_kwh"), ("co2", "co2_kg"), ("water", "water_l"))
 
 
+def _ratios(ratio, pointer: str, label: str, base, candidate) -> dict[str, Interval]:
+    """ratio of each metric's intervals; a failure names the candidate and metric."""
+    out = {}
+    for metric, field in _METRICS:
+        try:
+            out[metric] = ratio(getattr(base, field), getattr(candidate, field))
+        except ValueError as exc:
+            raise ConfigError(f"{pointer}: {metric} {label}: {exc}") from None
+    return out
+
+
 def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> dict:
     """Reductions of every other scenario against the baseline, and the
     increase of each of those scenarios over the one before it.
@@ -230,33 +244,33 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     Every ratio is computed before any is presented, so a zero baseline
     is reported ahead of a presentation failure.
     """
+    pointers = {name: f"/scenarios/{i}" for i, name in enumerate(footprints)}
     reduction_keys = [n for n in footprints if n != baseline]
-    comparisons = [compare_scenarios(footprints[baseline], footprints[n]) for n in reduction_keys]
-    steps = [(f"{b}_vs_{a}", {metric: increase_pct(getattr(footprints[a], field),
-                                                   getattr(footprints[b], field))
-                              for metric, field in _METRICS})
-             for a, b in zip(reduction_keys, reduction_keys[1:])]
-    increase_keys = [key for key, _ in steps]
+    comparisons = {n: _ratios(_reduction_pct, pointers[n], f"reduction vs {baseline}",
+                              footprints[baseline], footprints[n])
+                   for n in reduction_keys}
+    steps = {f"{b}_vs_{a}": _ratios(increase_pct, pointers[b], f"increase vs {a}",
+                                    footprints[a], footprints[b])
+             for a, b in zip(reduction_keys, reduction_keys[1:])}
     rows, csv_rows, md_rows = [], [], []
     for metric, _ in _METRICS:
-        reductions = {n: _pct_pair(getattr(c, f"{metric}_reduction_pct"))
-                      for n, c in zip(reduction_keys, comparisons)}
-        increases = {key: _pct_pair(pcts[metric]) for key, pcts in steps}
+        reductions = {n: _pct_pair(c[metric]) for n, c in comparisons.items()}
+        increases = {key: _pct_pair(pcts[metric]) for key, pcts in steps.items()}
         rows.append({"metric": metric, "reductions": reductions, "increases": increases})
-        pairs = [reductions[k] for k in reduction_keys] + [increases[k] for k in increase_keys]
+        pairs = [*reductions.values(), *increases.values()]
         csv_rows.append([metric, *(str(v) for pair in pairs for v in pair)])
-        md_rows.append([metric, *(_range_cell(*reductions[k]) for k in reduction_keys),
-                        *(_increase_cell(*increases[k]) for k in increase_keys)])
+        md_rows.append([metric, *(_range_cell(*pair) for pair in reductions.values()),
+                        *(_increase_cell(*pair) for pair in increases.values())])
     csv_header = ["metric"]
     for key in reduction_keys:
         csv_header += [f"{key}_vs_{baseline}_reduction_lo", f"{key}_vs_{baseline}_reduction_hi"]
-    for key in increase_keys:
+    for key in steps:
         csv_header += [f"{key}_increase_lo", f"{key}_increase_hi"]
     md_header = ["Metric"]
     md_header += [f"{key} vs {baseline} (reduction %)" for key in reduction_keys]
-    md_header += [f"{key.replace('_vs_', ' vs ')} (increase %)" for key in increase_keys]
-    return {"json": {"table": "reduction_table", "baseline": baseline, "rows": rows},
-            "csv": (csv_header, csv_rows), "markdown": (md_header, md_rows)}
+    md_header += [f"{key.replace('_vs_', ' vs ')} (increase %)" for key in steps]
+    return _render({"table": "reduction_table", "baseline": baseline, "rows": rows},
+                   csv_header, csv_rows, md_header, md_rows)
 
 
 def _token_table(ledger: TokenLedger) -> dict:
@@ -269,35 +283,27 @@ def _token_table(ledger: TokenLedger) -> dict:
            "total_tokens": total, "total_share_pct": total_share}
     csv_rows = [[r["component"], str(r["tokens"]), str(r["share_pct"])] for r in rows]
     md_rows = [[r["component"], f"{r['tokens']:,}", str(r["share_pct"])] for r in rows]
-    return {"json": obj,
-            "csv": (["component", "tokens", "share_pct"],
-                    csv_rows + [["total", str(total), str(total_share)]]),
-            "markdown": (["Component", "Tokens", "Share (%)"],
-                         md_rows + [["TOTAL", f"{total:,}", str(total_share)]])}
+    return _render(obj, ["component", "tokens", "share_pct"],
+                   csv_rows + [["total", str(total), str(total_share)]],
+                   ["Component", "Tokens", "Share (%)"],
+                   md_rows + [["TOTAL", f"{total:,}", str(total_share)]])
 
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, default=float) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
-def _markdown_text(table: tuple[list[str], list[list[str]]]) -> str:
-    header, rows = table
-    return "".join("| " + " | ".join(row) + " |\n"
-                   for row in (header, ["---"] * len(header), *rows))
-
-
-def _csv_text(table: tuple[list[str], list[list[str]]]) -> str:
-    header, rows = table
+def _render(obj, csv_header, csv_rows, md_header, md_rows) -> dict[str, str]:
+    """One table's final text in every format."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows((header, *rows))
-    return buf.getvalue()
-
-
-_RENDERERS = {"markdown": _markdown_text, "csv": _csv_text, "json": _json_text}
+    csv.writer(buf, lineterminator="\n").writerows((csv_header, *csv_rows))
+    markdown = "".join("| " + " | ".join(row) + " |\n"
+                       for row in (md_header, ["---"] * len(md_header), *md_rows))
+    return {"markdown": markdown, "csv": buf.getvalue(), "json": _json_text(obj)}
 
 
 def emit_table(bundle: dict, which: str, fmt: str = "markdown") -> str:
-    """Render one of the bundle's tables as markdown, CSV, or JSON text.
+    """One of the bundle's tables as markdown, CSV, or JSON text.
 
     All three formats encode the same presented numbers; emission is a
     pure function of the bundle.
@@ -309,37 +315,26 @@ def emit_table(bundle: dict, which: str, fmt: str = "markdown") -> str:
     table = bundle.get(which)
     if table is None:
         raise ValueError("no usecase data in bundle")
-    return _RENDERERS[fmt](table[fmt])
-
-
-def plot_data_obj(bundle: dict) -> list[dict]:
-    """Series records (scenario x metric) carrying the presented bounds."""
-    records = []
-    for row in bundle["scenario_table"]["json"]["rows"]:
-        for metric in ("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"):
-            lo, hi = row[metric]
-            records.append({
-                "scenario": row["scenario"],
-                "metric": metric,
-                "lo": float(lo),
-                "hi": float(hi),
-                "mid": float((lo + hi) / 2),
-            })
-    return records
+    return table[fmt]
 
 
 def emit_plot_data(bundle: dict) -> str:
-    return _json_text(plot_data_obj(bundle))
+    """Series records (scenario x metric) carrying the presented bounds."""
+    return bundle["plot_data"]
 
 
 def emit_bundle_json(bundle: dict) -> str:
-    """Machine-readable bundle: metadata plus every table it carries."""
-    obj = {
-        "metadata": bundle["metadata"],
-        "scenario_table": bundle["scenario_table"]["json"],
-        "reduction_table": bundle["reduction_table"]["json"],
-        "plot_data": plot_data_obj(bundle),
-    }
+    """Machine-readable bundle: metadata plus every table it carries.
+
+    The members' texts are spliced in at one more level of indent. The
+    result is the bytes json.dumps(indent=2) gives for the whole
+    object, because a JSON text holds newlines only between tokens.
+    """
+    members = [("metadata", _json_text(bundle["metadata"])),
+               ("scenario_table", bundle["scenario_table"]["json"]),
+               ("reduction_table", bundle["reduction_table"]["json"]),
+               ("plot_data", bundle["plot_data"])]
     if "token_table" in bundle:
-        obj["token_table"] = bundle["token_table"]["json"]
-    return _json_text(obj)
+        members.append(("token_table", bundle["token_table"]["json"]))
+    return "{\n" + ",\n".join(f'  "{key}": ' + text[:-1].replace("\n", "\n  ")
+                               for key, text in members) + "\n}\n"

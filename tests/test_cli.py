@@ -287,11 +287,13 @@ def _manual_edit(workforce, **fields):
      "/scenarios/0: laptop_kwh_per_day must be >= 0"),
     (None, _manual_edit({}, overhead_kwh_per_day=-2.7),
      "/scenarios/0: overhead_kwh_per_day must be >= 0"),
+    (None, _manual_edit({}, operators_override=[0, 0], overhead_kwh_per_day=1e-308),
+     "/scenarios/1: energy reduction vs manual: lo: must be finite, got inf"),
 ], ids=["profile-binding-list", "stages-int", "stages-null", "huge-volume", "huge-pue",
         "tiny-per-doc-time", "huge-buffer", "energy-overflow", "zero-throughput",
         "config-array", "no-profiles", "scenario-ref-int", "duplicate-scenario",
         "fractional-volume", "empty-stage-name", "negative-stage-energy", "zero-shift",
-        "negative-laptop", "negative-overhead"])
+        "negative-laptop", "negative-overhead", "reduction-overflow"])
 def test_malformed_config_is_an_input_error(tmp_path, data_dir, capsys,
                                             edit_config, edit_manual, message):
     config = _config_copy(tmp_path, data_dir, edit_config, edit_manual)
@@ -434,3 +436,17 @@ def test_missing_key_error_independent_of_hash_seed(tmp_path, data_dir):
         assert proc.returncode == 2
         errors.add(proc.stderr)
     assert errors == {"error: /profiles/flash-prompt-2025: pue: missing required key\n"}
+
+
+def test_document_without_items_warns_on_stderr(tmp_path):
+    # A fresh process: in-process, pytest's log capture owns the root logger.
+    doc = tmp_path / "notes.txt"
+    doc.write_text("Just prose, no ITEM rows.\n")
+    src_root = str(Path(docfootprint.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "docfootprint.cli", "usecase-run",
+         "--document", str(doc), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src_root},
+        check=False)
+    assert proc.returncode == 0
+    assert proc.stderr == "WARNING no invoice line items matched; returning empty result\n"

@@ -6,6 +6,7 @@ import pytest
 
 from docfootprint import (
     ConfigError,
+    Scenario,
     build_bundle,
     emit_bundle_json,
     emit_plot_data,
@@ -150,6 +151,17 @@ def test_config_round_trip_matches_raw(config, data_dir):
 def test_build_bundle_unknown_baseline(config):
     with pytest.raises(ValueError, match="unknown scenario"):
         build_bundle(config, "nope")
+
+
+def test_increase_overflow_names_candidate_and_metric(config):
+    # A subnormal manual footprint overflows the hitl-over-manual increase.
+    obj = config.scenarios[0].to_json_obj()
+    obj.update(operators_override=[0, 0], overhead_kwh_per_day=1e-308)
+    tiny = dataclasses.replace(config, scenarios=(Scenario.from_json_obj(obj),
+                                                  *config.scenarios[1:]))
+    with pytest.raises(ConfigError) as exc:
+        build_bundle(tiny, "agentic")
+    assert str(exc.value) == "/scenarios/1: energy increase vs manual: lo: must be finite, got inf"
 
 
 def test_scenario_table_markdown(bundle):
