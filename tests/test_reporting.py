@@ -306,3 +306,61 @@ def test_bundle_json_is_one_whole_dump(config, invoice_text, prompt_text, perfbe
             if result is not None:
                 whole["token_table"] = json.loads(emit_table(b, "token_table", "json"))
             assert emit_bundle_json(b) == json.dumps(whole, indent=2) + "\n"
+
+
+_SCENARIO_KEYS = ["scenario", "operators", "energy_kwh_per_day", "co2_kg_per_day",
+                  "water_l_per_day", "energy_per_doc_kwh"]
+_SERIES = ["energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"]
+
+
+def _canonical(text):
+    obj = json.loads(text)
+    assert text == json.dumps(obj, indent=2) + "\n"
+    return obj
+
+
+def test_json_texts_are_canonical_indent_2(config, invoice_text, prompt_text, perfbench_gen,
+                                           tmp_path):
+    """Every table's JSON and the plot data read back as the same indent-2
+    dump, with their keys in the documented order."""
+    usecase = run_pipeline(invoice_text, prompt_text, config.profiles[config.usecase_profile])
+    odd = ['q"uote', "back\\slash", "new\nline", "ü", "sep\u2028arator", "</script>"]
+    renamed = dataclasses.replace(config, scenarios=tuple(
+        dataclasses.replace(config.scenarios[i % 3], name=name) for i, name in enumerate(odd)))
+    cases = [(config, "manual"), (config, "agentic"), (renamed, odd[0]), (renamed, odd[4]),
+             (dataclasses.replace(config, scenarios=config.scenarios[:1]), "manual"),
+             (dataclasses.replace(config, scenarios=config.scenarios[1:]), "agentic")]
+    cases += [(load_config(d.path / "config.json"), d.baseline)
+              for d in perfbench_gen.config_dirs(1, tmp_path)]
+    for cfg, baseline in cases:
+        names = [s.name for s in cfg.scenarios]
+        others = [n for n in names if n != baseline]
+        for result in (None, usecase):
+            b = build_bundle(cfg, baseline, usecase=result)
+            table = _canonical(emit_table(b, "scenario_table", "json"))
+            assert list(table) == ["table", "rows"] and table["table"] == "scenario_table"
+            assert [r["scenario"] for r in table["rows"]] == names
+            for row in table["rows"]:
+                assert list(row) == _SCENARIO_KEYS
+                assert all(type(v) is int for v in row["operators"])
+                assert all(type(v) is float for key in _SERIES for v in row[key])
+                assert type(row["energy_per_doc_kwh"]) is float
+            table = _canonical(emit_table(b, "reduction_table", "json"))
+            assert list(table) == ["table", "baseline", "rows"]
+            assert table["baseline"] == baseline
+            assert [r["metric"] for r in table["rows"]] == ["energy", "co2", "water"]
+            for row in table["rows"]:
+                assert list(row) == ["metric", "reductions", "increases"]
+                assert list(row["reductions"]) == others
+                assert list(row["increases"]) == [f"{y}_vs_{x}"
+                                                  for x, y in zip(others, others[1:])]
+                assert all(type(v) is int for pairs in (row["reductions"], row["increases"])
+                           for pair in pairs.values() for v in pair)
+            records = _canonical(emit_plot_data(b))
+            assert [(r["scenario"], r["metric"]) for r in records] == \
+                [(n, m) for n in names for m in _SERIES]
+            assert all(list(r) == ["scenario", "metric", "lo", "hi", "mid"] for r in records)
+            if result is not None:
+                table = _canonical(emit_table(b, "token_table", "json"))
+                assert list(table) == ["table", "source", "rows", "total_tokens",
+                                       "total_share_pct"]
