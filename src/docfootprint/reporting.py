@@ -15,6 +15,7 @@ import io
 import json
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .core import FootprintProfile, Interval, _json_fields
@@ -31,6 +32,7 @@ TABLES = ("scenario_table", "reduction_table", "token_table")
 FORMATS = ("markdown", "csv", "json")
 
 _ONE = Decimal("1")
+_TENTH = Decimal("0.1")
 
 
 class ConfigError(ValueError):
@@ -43,7 +45,7 @@ def _dec(x: float) -> Decimal:
 
 def present(x: float | Decimal, ndigits: int = 1) -> Decimal:
     """Half-up presentation rounding of a float or Decimal, returned as a Decimal."""
-    quantum = _ONE.scaleb(-ndigits)
+    quantum = _TENTH if ndigits == 1 else _ONE.scaleb(-ndigits)
     value = x if isinstance(x, Decimal) else _dec(x)
     try:
         return value.quantize(quantum, rounding=ROUND_HALF_UP)
@@ -60,6 +62,8 @@ def present_pct(x: float) -> int:
 
 @dataclass(frozen=True)
 class Config:
+    """A validated config: profiles, their bindings, scenarios and content hash."""
+
     profiles: dict[str, FootprintProfile]
     scenario_profile: str
     usecase_profile: str
@@ -175,6 +179,16 @@ def _range_cell(lo, hi) -> str:
     return f"{lo} -- {hi}"
 
 
+def _pair(lo, hi, indent: str) -> str:
+    """A two-number JSON array as json.dumps(indent=2) writes it at this indent."""
+    return f"[\n{indent}  {lo!r},\n{indent}  {hi!r}\n{indent}]"
+
+
+def _table_json(head: str, rows: list[str]) -> str:
+    """A table's JSON text: the head members' text, then the row objects' texts."""
+    return "{\n" + head + '  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+
+
 def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintProfile) -> tuple:
     """Presented scenario rows, and the plot series' JSON text.
 
@@ -182,7 +196,9 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
     in decimal arithmetic rather than from the full-precision chain;
     this matches how the published tables were rounded (e.g. a 16.2
     energy bound gives 16.2 * 0.30 = 4.86 -> 4.9 L, where the exact
-    chain would show 4.8).
+    chain would show 4.8). Each row's JSON object and its three plot
+    records are written from the same cells as its CSV and markdown
+    rows, as the text json.dumps(indent=2) gives for them.
     """
     ef = _dec(profile.emission_factor_g_per_kwh) / Decimal(1000)
     wue_lo = _dec(profile.wue.lo)
@@ -194,14 +210,16 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
         co2 = [present(energy[0] * ef, 1), present(energy[1] * ef, 1)]
         water = [present(energy[0] * wue_lo, 1), present(energy[1] * wue_hi, 1)]
         per_doc = f"{fp.energy_per_doc_kwh:.6f}"
-        row = {"scenario": name, "operators": operators}
+        key, series = _quote(name), ""
         for metric, (lo, hi) in zip(("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"),
                                     (energy, co2, water)):
-            row[metric] = [float(lo), float(hi)]
-            records.append({"scenario": name, "metric": metric, "lo": float(lo),
-                            "hi": float(hi), "mid": float((lo + hi) / 2)})
-        row["energy_per_doc_kwh"] = fp.energy_per_doc_kwh
-        rows.append(row)
+            lo, hi, mid = float(lo), float(hi), float((lo + hi) / 2)
+            series += f',\n      "{metric}": {_pair(lo, hi, "      ")}'
+            records.append(f'  {{\n    "scenario": {key},\n    "metric": "{metric}",\n'
+                           f'    "lo": {lo!r},\n    "hi": {hi!r},\n    "mid": {mid!r}\n  }}')
+        rows.append(f'    {{\n      "scenario": {key},\n      "operators": '
+                    f'{_pair(*operators, "      ")}{series},\n'
+                    f'      "energy_per_doc_kwh": {fp.energy_per_doc_kwh!r}\n    }}')
         cells = (operators, energy, co2, water)
         csv_rows.append([name, *(str(v) for pair in cells for v in pair), per_doc])
         md_rows.append([name, *(_range_cell(*pair) for pair in cells), per_doc])
@@ -210,9 +228,9 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
                   "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
     md_header = ["Scenario", "Operators", "Energy (kWh/day)", "CO2 (kg/day)",
                  "Water (L/day)", "Energy per doc (kWh)"]
-    table = _render({"table": "scenario_table", "rows": rows}, csv_header, csv_rows,
+    table = _render(_table_json('  "table": "scenario_table",\n', rows), csv_header, csv_rows,
                     md_header, md_rows)
-    return table, _json_text(records)
+    return table, "[\n" + ",\n".join(records) + "\n]\n"
 
 
 def _pct_pair(iv: Interval) -> list[int]:
@@ -221,6 +239,14 @@ def _pct_pair(iv: Interval) -> list[int]:
 
 def _increase_cell(lo: int, hi: int) -> str:
     return f"+{lo} -- +{hi}" if lo >= 0 else _range_cell(lo, hi)
+
+
+def _pct_map(pairs: dict[str, list[int]]) -> str:
+    """A row's map of percent pairs, as json.dumps(indent=2) writes it there."""
+    if not pairs:
+        return "{}"
+    return "{\n" + ",\n".join(f"        {_quote(key)}: {_pair(lo, hi, '        ')}"
+                               for key, (lo, hi) in pairs.items()) + "\n      }"
 
 
 _METRICS = (("energy", "energy_kwh"), ("co2", "co2_kg"), ("water", "water_l"))
@@ -242,7 +268,9 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     increase of each of those scenarios over the one before it.
 
     Every ratio is computed before any is presented, so a zero baseline
-    is reported ahead of a presentation failure.
+    is reported ahead of a presentation failure. Each metric row's
+    reduction and increase maps are written as JSON text in the loop
+    that builds its CSV and markdown rows; a map with no pair is {}.
     """
     pointers = {name: f"/scenarios/{i}" for i, name in enumerate(footprints)}
     reduction_keys = [n for n in footprints if n != baseline]
@@ -256,7 +284,8 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     for metric, _ in _METRICS:
         reductions = {n: _pct_pair(c[metric]) for n, c in comparisons.items()}
         increases = {key: _pct_pair(pcts[metric]) for key, pcts in steps.items()}
-        rows.append({"metric": metric, "reductions": reductions, "increases": increases})
+        rows.append(f'    {{\n      "metric": "{metric}",\n      "reductions": '
+                    f'{_pct_map(reductions)},\n      "increases": {_pct_map(increases)}\n    }}')
         pairs = [*reductions.values(), *increases.values()]
         csv_rows.append([metric, *(str(v) for pair in pairs for v in pair)])
         md_rows.append([metric, *(_range_cell(*pair) for pair in reductions.values()),
@@ -269,8 +298,8 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     md_header = ["Metric"]
     md_header += [f"{key} vs {baseline} (reduction %)" for key in reduction_keys]
     md_header += [f"{key.replace('_vs_', ' vs ')} (increase %)" for key in steps]
-    return _render({"table": "reduction_table", "baseline": baseline, "rows": rows},
-                   csv_header, csv_rows, md_header, md_rows)
+    head = f'  "table": "reduction_table",\n  "baseline": {_quote(baseline)},\n'
+    return _render(_table_json(head, rows), csv_header, csv_rows, md_header, md_rows)
 
 
 def _token_table(ledger: TokenLedger) -> dict:
@@ -283,7 +312,7 @@ def _token_table(ledger: TokenLedger) -> dict:
            "total_tokens": total, "total_share_pct": total_share}
     csv_rows = [[r["component"], str(r["tokens"]), str(r["share_pct"])] for r in rows]
     md_rows = [[r["component"], f"{r['tokens']:,}", str(r["share_pct"])] for r in rows]
-    return _render(obj, ["component", "tokens", "share_pct"],
+    return _render(_json_text(obj), ["component", "tokens", "share_pct"],
                    csv_rows + [["total", str(total), str(total_share)]],
                    ["Component", "Tokens", "Share (%)"],
                    md_rows + [["TOTAL", f"{total:,}", str(total_share)]])
@@ -293,13 +322,13 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _render(obj, csv_header, csv_rows, md_header, md_rows) -> dict[str, str]:
-    """One table's final text in every format."""
+def _render(json_text, csv_header, csv_rows, md_header, md_rows) -> dict[str, str]:
+    """One table's final text in every format, given its JSON text."""
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows((csv_header, *csv_rows))
     markdown = "".join("| " + " | ".join(row) + " |\n"
                        for row in (md_header, ["---"] * len(md_header), *md_rows))
-    return {"markdown": markdown, "csv": buf.getvalue(), "json": _json_text(obj)}
+    return {"markdown": markdown, "csv": buf.getvalue(), "json": json_text}
 
 
 def emit_table(bundle: dict, which: str, fmt: str = "markdown") -> str:
