@@ -110,6 +110,8 @@ class TokenLedger:
 
 @dataclass(frozen=True)
 class LineItem:
+    """One extracted invoice row; amounts are exact decimals."""
+
     item_id: str
     quantity: Decimal
     unit_price: Decimal
@@ -128,6 +130,8 @@ class LineItem:
 
 @dataclass(frozen=True)
 class VerificationRecord:
+    """One item's arithmetic check: ok within a cent, and the signed delta."""
+
     item_id: str
     ok: bool
     delta: Decimal
@@ -135,6 +139,8 @@ class VerificationRecord:
 
 @dataclass(frozen=True)
 class Footprint:
+    """Energy, CO2 and water of one pipeline run."""
+
     energy: Energy
     co2: Carbon
     water: Water
@@ -142,6 +148,8 @@ class Footprint:
 
 @dataclass(frozen=True)
 class ExtractionResult:
+    """One pipeline run: its items, ledger, footprint and verification records."""
+
     items: tuple[LineItem, ...]
     ledger: TokenLedger
     footprint: Footprint

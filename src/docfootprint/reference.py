@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Deviation:
+    """A published figure this tool does not reproduce, and why."""
+
     key: str
     quantity: str
     published: tuple[float, float] | float

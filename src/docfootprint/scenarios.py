@@ -143,6 +143,8 @@ class Scenario:
 
 @dataclass(frozen=True)
 class DailyFootprint:
+    """A scenario's daily operators, energy, CO2 and water, and its energy per document."""
+
     operators: Interval
     energy_kwh: Interval
     co2_kg: Interval
@@ -236,6 +238,8 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
 
 @dataclass(frozen=True)
 class ScenarioComparison:
+    """Percent reductions of a candidate footprint against a baseline, per metric."""
+
     energy_reduction_pct: Interval
     co2_reduction_pct: Interval
     water_reduction_pct: Interval

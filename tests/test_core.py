@@ -1,10 +1,13 @@
+import ast
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import docfootprint
 from docfootprint import (
     Carbon,
     Energy,
@@ -320,3 +323,21 @@ def test_conversions_commute_with_scaling(flash):
         scaled_then = co2_from_energy(e * k, 288)
         then_scaled = co2_from_energy(e, 288) * k
         assert scaled_then == pytest.approx(then_scaled, rel=1e-15)
+
+
+def _is_dataclass_decorator(node) -> bool:
+    target = node.func if isinstance(node, ast.Call) else node
+    return isinstance(target, ast.Name) and target.id == "dataclass"
+
+
+def test_every_dataclass_has_a_written_docstring():
+    # Without one, @dataclass builds __doc__ from inspect.signature on every import.
+    package = Path(docfootprint.__file__).parent
+    found = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator,
+                                                          node.decorator_list)):
+                found[node.name] = ast.get_docstring(node)
+    assert {"Interval", "LineItem", "Config", "DailyFootprint", "Deviation"} <= set(found)
+    assert [name for name, doc in found.items() if not doc] == []
