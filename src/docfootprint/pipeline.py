@@ -13,7 +13,6 @@ offline behavior to model; its cost enters through the ledger.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from decimal import (
@@ -26,6 +25,7 @@ from decimal import (
     DecimalException,
     InvalidOperation,
 )
+from json.encoder import encode_basestring_ascii as _quote
 
 from .core import (
     Carbon,
@@ -48,7 +48,7 @@ LEDGER_SOURCES = ("measured", "estimated")
 THINKING_NORMALIZATION_FACTOR = 1.15
 COMPLEXITY_NORMALIZATION_FACTOR = 1.5
 
-_ITEM_ROW = re.compile(r"^ITEM\s+\d+\s*\|")
+_ITEM_ROW = re.compile(r"^\s*ITEM\s+\d+\s*\|")
 _CURRENCY = re.compile(r"^[A-Z]{3}$")
 _CENT = Decimal("0.01")
 # Parsed amounts stay below this magnitude after abs() rounds them to 28
@@ -189,9 +189,10 @@ def parse_invoice(document: str) -> list[LineItem]:
     """
     items: list[LineItem] = []
     for line_number, line in enumerate(document.splitlines(), start=1):
-        if not _ITEM_ROW.match(line.strip()):
+        if not _ITEM_ROW.match(line):
             continue
-        fields = [f.strip() for f in line.strip().split("|")]
+        # Stripping each field also strips the line's two ends.
+        fields = [f.strip() for f in line.split("|")]
         if len(fields) != 6:
             raise InvoiceParseError(
                 line_number,
@@ -257,11 +258,11 @@ def render_output_json(items: list[LineItem] | tuple[LineItem, ...]) -> str:
         rows.append(
             '  {"item_id": %s, "quantity": %s, "unit_price": %s,'
             ' "total_price": %s, "currency": %s}' % (
-                json.dumps(item.item_id),
+                _quote(item.item_id),
                 _qty_literal(item.quantity),
                 _price_literal(item.unit_price),
                 _price_literal(item.total_price),
-                json.dumps(item.currency),
+                _quote(item.currency),
             ))
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
