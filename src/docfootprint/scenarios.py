@@ -97,6 +97,11 @@ class Scenario:
     def __post_init__(self):
         if not isinstance(self.name, str) or not self.name:
             raise ValueError("scenario name must be a non-empty string")
+        try:
+            self.name.encode("utf-8")
+        except UnicodeEncodeError:
+            # A lone surrogate, which JSON's "\ud800" escape can give, cannot be written out.
+            raise ValueError(f"scenario name {self.name!r} does not encode as UTF-8") from None
         # Rejects bools and integers too large for the float arithmetic below.
         _require_number(self.daily_volume, "daily_volume")
         if not isinstance(self.daily_volume, int):

@@ -289,11 +289,13 @@ def _manual_edit(workforce, **fields):
      "/scenarios/0: overhead_kwh_per_day must be >= 0"),
     (None, _manual_edit({}, operators_override=[0, 0], overhead_kwh_per_day=1e-308),
      "/scenarios/1: energy reduction vs manual: lo: must be finite, got inf"),
+    (None, _manual_edit({}, name="h\ud800"),
+     "/scenarios/0: scenario name 'h\\ud800' does not encode as UTF-8"),
 ], ids=["profile-binding-list", "stages-int", "stages-null", "huge-volume", "huge-pue",
         "tiny-per-doc-time", "huge-buffer", "energy-overflow", "zero-throughput",
         "config-array", "no-profiles", "scenario-ref-int", "duplicate-scenario",
         "fractional-volume", "empty-stage-name", "negative-stage-energy", "zero-shift",
-        "negative-laptop", "negative-overhead", "reduction-overflow"])
+        "negative-laptop", "negative-overhead", "reduction-overflow", "lone-surrogate-name"])
 def test_malformed_config_is_an_input_error(tmp_path, data_dir, capsys,
                                             edit_config, edit_manual, message):
     config = _config_copy(tmp_path, data_dir, edit_config, edit_manual)
@@ -302,6 +304,26 @@ def test_malformed_config_is_an_input_error(tmp_path, data_dir, capsys,
     assert code == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_lone_surrogate_scenario_name_writes_nothing(tmp_path, data_dir, capsys, fmt):
+    # JSON's "\ud800" escape loads as a lone surrogate, which no output can encode.
+    config = _config_copy(tmp_path, data_dir)
+    hitl = tmp_path / "scenarios" / "hitl.json"
+    hitl.write_text(hitl.read_text().replace('"hitl"', '"h\\ud800"'))
+    out = tmp_path / "out"
+    argv = ["scenario-compare", "--config", str(config), "--out", str(out), "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: /scenarios/1: scenario name 'h\\ud800' does not encode as UTF-8\n"
+    assert captured.out == ""
+    assert not out.exists()
+    # A surrogate pair escape is one character, and it is written out.
+    hitl.write_text(hitl.read_text().replace('"h\\ud800"', '"h\\ud83d\\ude00"'))
+    assert main(argv) == 0
+    written = "".join(p.read_text(encoding="utf-8") for p in sorted(out.iterdir()))
+    assert ("h\\ud83d\\ude00" if fmt == "json" else "h\U0001f600") in written
 
 
 @pytest.mark.parametrize("argv, prefix", [
