@@ -130,3 +130,57 @@ def test_cli_exits_0_2_or_3_on_any_input_bytes(reader):
         _check_total(reader, raw)
 
     check()
+
+
+def _is_int(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+# A count as (command-line text, its value; None for text that is no integer).
+_COUNTS = st.one_of(
+    st.integers().map(lambda v: (str(v), v)),
+    st.integers(10 ** 15 - 2, 10 ** 15 + 2).map(lambda v: (str(v), v)),
+    # More than int()'s 4,300 digits; only the side of the range matters.
+    st.tuples(st.sampled_from(["", "+", "-"]), st.integers(4290, 4400),
+              st.sampled_from("123456789")).map(
+        lambda t: (t[0] + t[2] * t[1], -1 if t[0] == "-" else 10 ** 16)),
+    st.text(max_size=12).filter(lambda t: not _is_int(t)).map(lambda t: (t, None)),
+    st.sampled_from(["-", "-1.5", "-1e5", "-x", "--", "--conf", "-h", " 7 ", "1_000"]).map(
+        lambda t: (t, int(t) if _is_int(t) else None)),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(base=_COUNTS, thinking=_COUNTS)
+def test_thinking_delta_exits_0_or_2_on_any_count_text(base, thinking):
+    """Any integer, of any length or sign, or any other text as either count:
+    exit 0 with four result lines, or exit 2 with one error line naming the
+    first bad count and nothing on stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["thinking-delta", base[0], thinking[0]])
+    except SystemExit as exc:
+        # argparse reads text that starts with "-" and is no negative number
+        # as an option; it prints its usage, then one error line, or the help.
+        assert base[0].startswith("-") or thinking[0].startswith("-")
+        assert exc.code in (0, 2)
+        if exc.code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().splitlines()[-1].startswith(
+                "docfootprint thinking-delta: error: ")
+        return
+    bad = [(name, value) for name, (_, value) in (("base_tokens", base),
+                                                  ("thinking_tokens", thinking))
+           if value is None or not 0 <= value <= 10 ** 15]
+    if not bad:
+        assert (code, err.getvalue(), out.getvalue().count("\n")) == (0, "", 4)
+        return
+    name, value = bad[0]
+    reason = ("must be an integer" if value is None else
+              "must be >= 0" if value < 0 else "must be <= 10**15")
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {name} {reason}\n")
