@@ -64,6 +64,12 @@ def test_parse_accepts_comma_grouping():
     assert items[0].unit_price == Decimal("1234.56")
 
 
+def test_parse_ignores_whitespace_around_a_row():
+    # Whatever str.strip() removes may pad a row, non-ASCII spaces included.
+    padded = f"\t\u00a0 {SPEC_ROW} \u3000\n \u2003 \nx {SPEC_ROW}"
+    assert parse_invoice(padded) == parse_invoice(SPEC_ROW)
+
+
 def test_parse_empty_document_warns(caplog):
     with caplog.at_level(logging.WARNING):
         items = parse_invoice("")
