@@ -180,7 +180,12 @@ def _range_cell(lo, hi) -> str:
 
 
 def _pair(lo, hi, indent: str) -> str:
-    """A two-number JSON array as json.dumps(indent=2) writes it at this indent."""
+    """A two-number JSON array as json.dumps(indent=2) writes it at this indent.
+
+    The JSON of the rows and plot records is written as text because
+    json.dumps falls back to its pure-Python encoder when indent is set.
+    Values are ints or finite floats, whose repr is what json writes.
+    """
     return f"[\n{indent}  {lo!r},\n{indent}  {hi!r}\n{indent}]"
 
 
