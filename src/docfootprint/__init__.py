@@ -9,7 +9,6 @@ extraction pipeline with full token and energy accounting.
 from .core import (
     Carbon,
     Energy,
-    EnergyRate,
     FootprintProfile,
     Interval,
     Water,
@@ -63,9 +62,9 @@ __version__ = "0.1.0"
 # the benchmark also reads several of these as package attributes. Result
 # records such as Config or ScenarioComparison stay in their modules.
 __all__ = [
-    "Carbon", "ConfigError", "DailyFootprint", "Energy", "EnergyRate",
-    "FootprintProfile", "Interval", "InvoiceParseError", "LineItem",
-    "PipelineStage", "Scenario", "TokenLedger", "Water", "WorkforceParams",
+    "Carbon", "ConfigError", "DailyFootprint", "Energy", "FootprintProfile",
+    "Interval", "InvoiceParseError", "LineItem", "PipelineStage", "Scenario",
+    "TokenLedger", "Water", "WorkforceParams",
     "apply_pue", "build_bundle", "cloud_energy_per_doc", "co2_from_energy",
     "compare_scenarios", "count_tokens", "docs_per_operator_day",
     "emit_bundle_json", "emit_plot_data", "emit_table", "evaluate_scenario",

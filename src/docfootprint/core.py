@@ -13,7 +13,7 @@ JSON form on top.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 
 WH_PER_KWH = 1000.0
 
@@ -118,6 +118,18 @@ def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
     return fields
 
 
+def _json_obj(value):
+    """The JSON form of a record: each field by name, an Interval as
+    [lo, hi], a nested record as its object and a tuple as a list."""
+    if isinstance(value, Interval):
+        return [value.lo, value.hi]
+    if isinstance(value, tuple):
+        return [_json_obj(item) for item in value]
+    if is_dataclass(value):
+        return {f.name: _json_obj(getattr(value, f.name)) for f in fields(value)}
+    return value
+
+
 def interval_add(a: Interval, b: Interval) -> Interval:
     """Endpoint-wise sum of two intervals."""
     return Interval(a.lo + b.lo, a.hi + b.hi)
@@ -136,35 +148,33 @@ def interval_scale(a: Interval, k: float) -> Interval:
     return Interval(a.lo * k, a.hi * k)
 
 
-@dataclass(frozen=True)
-class EnergyRate:
-    """Per-token inference energy, expressed in Wh per 1,000 tokens."""
-
-    wh_per_kilo_token: float
-
-    def __post_init__(self):
-        _require_number_fields(self, "wh_per_kilo_token")
-        if self.wh_per_kilo_token <= 0:
-            raise ValueError(f"wh_per_kilo_token must be > 0, got {self.wh_per_kilo_token}")
+def _require_rate(rate) -> float:
+    """Check a per-token rate in Wh per 1,000 tokens and return it as a float."""
+    rate = _require_number(rate, "rate_wh_per_ktok")
+    if rate <= 0:
+        raise ValueError(f"rate_wh_per_ktok must be > 0, got {rate}")
+    return rate
 
 
 @dataclass(frozen=True)
 class FootprintProfile:
     """Physical conversion constants for one modeled deployment.
 
-    pue is the facility-to-IT energy ratio (1.0 is ideal), wue the
-    water draw per kWh, emission_factor the grid carbon intensity,
-    and co2_per_prompt_g a published per-prompt emission shortcut.
+    rate is the IT-side inference energy in Wh per 1,000 tokens, pue
+    the facility-to-IT energy ratio (1.0 is ideal), wue the water draw
+    per kWh, emission_factor the grid carbon intensity, and
+    co2_per_prompt_g a published per-prompt emission shortcut.
     """
 
     name: str
-    rate: EnergyRate
+    rate: float
     pue: float
     wue: Interval
     emission_factor_g_per_kwh: float
     co2_per_prompt_g: float
 
     def __post_init__(self):
+        _set_field(self, "rate", _require_rate(self.rate))
         _require_number_fields(self, "pue", "emission_factor_g_per_kwh", "co2_per_prompt_g")
         if self.pue < 1.0:
             raise ValueError(f"pue >= 1 required, got {self.pue}")
@@ -184,7 +194,7 @@ class FootprintProfile:
                               pairs=("wue_l_per_kwh",))
         return cls(
             name=name,
-            rate=EnergyRate(_require_number(fields["rate_wh_per_ktok"], "rate_wh_per_ktok")),
+            rate=fields["rate_wh_per_ktok"],
             pue=fields["pue"],
             wue=fields["wue_l_per_kwh"],
             emission_factor_g_per_kwh=fields["emission_factor_g_per_kwh"],
@@ -193,7 +203,7 @@ class FootprintProfile:
 
     def to_json_obj(self) -> dict:
         return {
-            "rate_wh_per_ktok": self.rate.wh_per_kilo_token,
+            "rate_wh_per_ktok": self.rate,
             "pue": self.pue,
             "wue_l_per_kwh": [self.wue.lo, self.wue.hi],
             "emission_factor_g_per_kwh": self.emission_factor_g_per_kwh,
@@ -234,7 +244,7 @@ class Water:
             raise ValueError("water must be non-negative")
 
 
-def inference_energy(tokens: int, rate: EnergyRate) -> float:
+def inference_energy(tokens: int, rate: float) -> float:
     """IT-side inference energy in Wh for a token count.
 
     The evaluation order tokens * rate / 1000 keeps the reference
@@ -242,9 +252,10 @@ def inference_energy(tokens: int, rate: EnergyRate) -> float:
     0.24 Wh/kTok is exactly 4.32 Wh); do not refactor to a
     pre-divided rate.
     """
+    rate = _require_rate(rate)
     if tokens < 0:
         raise ValueError(f"tokens must be >= 0, got {tokens}")
-    return tokens * rate.wh_per_kilo_token / 1000.0
+    return tokens * rate / 1000.0
 
 
 def apply_pue(it_energy: float, pue: float) -> float:

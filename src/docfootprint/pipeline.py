@@ -35,6 +35,7 @@ from .core import (
     Water,
     WH_PER_KWH,
     _json_fields,
+    _json_obj,
     _require_tokens,
     co2_from_energy,
     inference_energy,
@@ -98,14 +99,7 @@ class TokenLedger:
     def from_json_obj(cls, obj: dict) -> "TokenLedger":
         return cls(**_json_fields(obj, ("document", "prompt", "output", "thinking"), ("source",)))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "document": self.document,
-            "prompt": self.prompt,
-            "output": self.output,
-            "thinking": self.thinking,
-            "source": self.source,
-        }
+    to_json_obj = _json_obj
 
 
 @dataclass(frozen=True)

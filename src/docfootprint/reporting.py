@@ -1,7 +1,9 @@
 """Config ingestion and report emission.
 
-All numeric presentation rounding lives here: internal values stay at
-full precision until a table or plot series is rendered. Published
+Numeric presentation rounding lives here, with one exception:
+pipeline.ledger_shares rounds the token shares by the same rule, half-up
+to one decimal of the float's repr. Internal values stay at full
+precision until a table or plot series is rendered. Published
 table digits are reproduced by rounding energy to one decimal first
 and deriving the CO2 and water cells from those presented figures in
 decimal arithmetic, exactly as the reference tables were produced.
@@ -282,9 +284,13 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     comparisons = {n: _ratios(_reduction_pct, pointers[n], f"reduction vs {baseline}",
                               footprints[baseline], footprints[n])
                    for n in reduction_keys}
-    steps = {f"{b}_vs_{a}": _ratios(increase_pct, pointers[b], f"increase vs {a}",
-                                    footprints[a], footprints[b])
-             for a, b in zip(reduction_keys, reduction_keys[1:])}
+    steps = {}
+    for a, b in zip(reduction_keys, reduction_keys[1:]):
+        key = f"{b}_vs_{a}"
+        if key in steps:
+            raise ConfigError(f"{pointers[b]}: increase column {key!r} repeats an earlier one")
+        steps[key] = _ratios(increase_pct, pointers[b], f"increase vs {a}",
+                             footprints[a], footprints[b])
     rows, csv_rows, md_rows = [], [], []
     for metric, _ in _METRICS:
         reductions = {n: _pct_pair(c[metric]) for n, c in comparisons.items()}

@@ -16,6 +16,7 @@ from .core import (
     FootprintProfile,
     Interval,
     _json_fields,
+    _json_obj,
     _require_number,
     _require_number_fields,
     interval_scale,
@@ -58,14 +59,7 @@ class WorkforceParams:
             ("shift_hours", "productive_hours", "buffer", "laptop_kwh_per_day"),
             pairs=("per_doc_time_s",)))
 
-    def to_json_obj(self) -> dict:
-        return {
-            "shift_hours": self.shift_hours,
-            "productive_hours": self.productive_hours,
-            "buffer": self.buffer,
-            "per_doc_time_s": [self.per_doc_time_s.lo, self.per_doc_time_s.hi],
-            "laptop_kwh_per_day": self.laptop_kwh_per_day,
-        }
+    to_json_obj = _json_obj
 
 
 @dataclass(frozen=True)
@@ -133,17 +127,7 @@ class Scenario:
         fields["stages"] = tuple(stages)
         return cls(**fields)
 
-    def to_json_obj(self) -> dict:
-        override = self.operators_override
-        return {
-            "name": self.name,
-            "daily_volume": self.daily_volume,
-            "workforce": self.workforce.to_json_obj(),
-            "stages": [{"name": s.name, "energy_wh_per_doc": s.energy_wh_per_doc}
-                       for s in self.stages],
-            "overhead_kwh_per_day": self.overhead_kwh_per_day,
-            "operators_override": None if override is None else [override.lo, override.hi],
-        }
+    to_json_obj = _json_obj
 
 
 @dataclass(frozen=True)

@@ -291,11 +291,14 @@ def _manual_edit(workforce, **fields):
      "/scenarios/1: energy reduction vs manual: lo: must be finite, got inf"),
     (None, _manual_edit({}, name="h\ud800"),
      "/scenarios/0: scenario name 'h\\ud800' does not encode as UTF-8"),
+    (lambda c: c["profiles"]["flash-prompt-2025"].update(rate_wh_per_ktok=0), None,
+     "/profiles/flash-prompt-2025: rate_wh_per_ktok must be > 0, got 0.0"),
 ], ids=["profile-binding-list", "stages-int", "stages-null", "huge-volume", "huge-pue",
         "tiny-per-doc-time", "huge-buffer", "energy-overflow", "zero-throughput",
         "config-array", "no-profiles", "scenario-ref-int", "duplicate-scenario",
         "fractional-volume", "empty-stage-name", "negative-stage-energy", "zero-shift",
-        "negative-laptop", "negative-overhead", "reduction-overflow", "lone-surrogate-name"])
+        "negative-laptop", "negative-overhead", "reduction-overflow", "lone-surrogate-name",
+        "zero-rate"])
 def test_malformed_config_is_an_input_error(tmp_path, data_dir, capsys,
                                             edit_config, edit_manual, message):
     config = _config_copy(tmp_path, data_dir, edit_config, edit_manual)
@@ -324,6 +327,26 @@ def test_lone_surrogate_scenario_name_writes_nothing(tmp_path, data_dir, capsys,
     assert main(argv) == 0
     written = "".join(p.read_text(encoding="utf-8") for p in sorted(out.iterdir()))
     assert ("h\\ud83d\\ude00" if fmt == "json" else "h\U0001f600") in written
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv", "json"])
+def test_repeated_increase_column_writes_nothing(tmp_path, data_dir, capsys, fmt):
+    # Consecutive pairs (z, x_vs_y) and (y_vs_z, x) both name the column "x_vs_y_vs_z".
+    def insert_copies(config):
+        config["scenarios"][1:1] = [f"scenarios/{name}.json"
+                                    for name in ("z", "x_vs_y", "y_vs_z", "x")]
+    config = _config_copy(tmp_path, data_dir, insert_copies)
+    hitl = json.loads((tmp_path / "scenarios" / "hitl.json").read_text())
+    for name in ("z", "x_vs_y", "y_vs_z", "x"):
+        (tmp_path / "scenarios" / f"{name}.json").write_text(json.dumps({**hitl, "name": name}))
+    out = tmp_path / "out"
+    argv = ["scenario-compare", "--config", str(config), "--out", str(out), "--format", fmt]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: /scenarios/4: increase column 'x_vs_y_vs_z' "
+                            "repeats an earlier one\n")
+    assert captured.out == ""
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, prefix", [

@@ -11,7 +11,6 @@ import docfootprint
 from docfootprint import (
     Carbon,
     Energy,
-    EnergyRate,
     FootprintProfile,
     Interval,
     Water,
@@ -161,23 +160,25 @@ def test_interval_scale_rejects_negative():
 
 
 def test_energy_rate_validation():
-    with pytest.raises(ValueError):
-        EnergyRate(0.0)
-    with pytest.raises(ValueError):
-        EnergyRate(-1.0)
-    with pytest.raises(ValueError):
-        EnergyRate(math.inf)
+    cases = ((0.0, " must be > 0, got 0.0"), (-1.0, " must be > 0, got -1.0"),
+             (math.inf, ": must be finite"), (True, ": expected a number"),
+             ("1", ": expected a number"))
+    for rate, message in cases:
+        with pytest.raises(ValueError, match=f"^rate_wh_per_ktok{message}"):
+            FootprintProfile("p", rate, 1.09, Interval(0.18, 0.30), 288, 0.03)
+        with pytest.raises(ValueError, match=f"^rate_wh_per_ktok{message}"):
+            inference_energy(1, rate)
 
 
 def test_profile_validation_messages():
     with pytest.raises(ValueError, match="pue >= 1"):
-        FootprintProfile("p", EnergyRate(0.24), 0.9, Interval(0.18, 0.30), 288, 0.03)
+        FootprintProfile("p", 0.24, 0.9, Interval(0.18, 0.30), 288, 0.03)
     with pytest.raises(ValueError):
-        FootprintProfile("p", EnergyRate(0.24), 1.09, Interval(0.0, 0.30), 288, 0.03)
+        FootprintProfile("p", 0.24, 1.09, Interval(0.0, 0.30), 288, 0.03)
     with pytest.raises(ValueError):
-        FootprintProfile("p", EnergyRate(0.24), 1.09, Interval(0.18, 0.30), 0, 0.03)
+        FootprintProfile("p", 0.24, 1.09, Interval(0.18, 0.30), 0, 0.03)
     with pytest.raises(ValueError):
-        FootprintProfile("p", EnergyRate(0.24), 1.09, Interval(0.18, 0.30), 288, -0.01)
+        FootprintProfile("p", 0.24, 1.09, Interval(0.18, 0.30), 288, -0.01)
 
 
 def test_profile_json_round_trip(flash):
@@ -313,7 +314,7 @@ def test_unit_chain_round_trip(flash):
     kwh = wh / 1000.0
     grams = co2_from_energy(kwh, flash.emission_factor_g_per_kwh)
     kwh_back = grams / flash.emission_factor_g_per_kwh
-    tokens_back = kwh_back * 1000.0 * 1000.0 / flash.rate.wh_per_kilo_token
+    tokens_back = kwh_back * 1000.0 * 1000.0 / flash.rate
     assert abs(tokens_back - tokens) / tokens < 1e-12
 
 

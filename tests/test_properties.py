@@ -11,7 +11,6 @@ import random
 from docfootprint import (
     Carbon,
     Energy,
-    EnergyRate,
     FootprintProfile,
     Interval,
     Scenario,
@@ -71,9 +70,9 @@ def run_linearity_suite(cases=10_000, seed=SEED):
     than a pre-divided rate would, hence 2 ulp rather than 1.
     """
     rng = random.Random(seed)
-    rates = [EnergyRate(0.24), EnergyRate(30.0)]
+    rates = [0.24, 30.0]
     for _ in range(cases):
-        rate = rng.choice(rates + [EnergyRate(rng.uniform(0.01, 100.0))])
+        rate = rng.choice(rates + [rng.uniform(0.01, 100.0)])
         total_tokens = rng.randint(0, 10_000_000)
         a = rng.randint(0, total_tokens)
         b = total_tokens - a
@@ -91,7 +90,7 @@ def run_footprint_suite(cases=10_000, seed=SEED):
         wue_lo = rng.uniform(0.01, 0.5)
         profiles.append(FootprintProfile(
             name=f"random-{i}",
-            rate=EnergyRate(rng.uniform(0.1, 50.0)),
+            rate=rng.uniform(0.1, 50.0),
             pue=rng.uniform(1.0, 2.0),
             wue=Interval(wue_lo, wue_lo + rng.uniform(0.0, 0.5)),
             emission_factor_g_per_kwh=rng.uniform(100.0, 1000.0),

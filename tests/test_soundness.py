@@ -5,8 +5,10 @@ count drawn from inside the override, gives one point evaluation of the
 energy formula. That point must land inside the interval that
 evaluate_scenario reports for the whole range, for energy and for CO2.
 Energy and CO2 never fall when the volume, the per-doc time or the
-laptop draw rises, and no reduction exceeds 100%. Every run is
-derandomized, so it checks the same examples.
+laptop draw rises, and no reduction exceeds 100%. Water pairs the low
+energy with the low WUE and the high with the high, so its reduction is
+the energy reduction, narrower than the envelope of every WUE pairing.
+Every run is derandomized, so it checks the same examples.
 """
 
 import dataclasses
@@ -15,7 +17,6 @@ import math
 from hypothesis import assume, given, settings, strategies as st
 
 from docfootprint import (
-    EnergyRate,
     FootprintProfile,
     Interval,
     PipelineStage,
@@ -40,6 +41,8 @@ SCENARIO_PARAMS = st.fixed_dictionaries({
     "override": st.none() | st.tuples(st.integers(0, 500), st.integers(0, 500)),
 })
 EMISSION_FACTORS = st.floats(1.0, 1000.0)
+# WUE ranges as (lo, hi / lo): a point, or a range at least 1% wide.
+WUE_RANGES = st.tuples(st.floats(0.01, 2.0), st.just(1.0) | st.floats(1.01, 4.0))
 
 
 def _scenario(volume, per_doc_lo, spread, productive_hours, buffer, laptop,
@@ -59,7 +62,7 @@ def _scenario(volume, per_doc_lo, spread, productive_hours, buffer, laptop,
 
 
 def _profile(emission_factor: float) -> FootprintProfile:
-    return FootprintProfile("sample", EnergyRate(0.24), 1.1, Interval(0.2, 0.5),
+    return FootprintProfile("sample", 0.24, 1.1, Interval(0.2, 0.5),
                             emission_factor, 0.03)
 
 
@@ -130,3 +133,32 @@ def test_reductions_are_at_most_100_percent(baseline, candidate, emission_factor
     for reduction in (comparison.energy_reduction_pct, comparison.co2_reduction_pct,
                       comparison.water_reduction_pct):
         assert reduction.lo <= reduction.hi <= 100.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(baseline=SCENARIO_PARAMS, candidate=SCENARIO_PARAMS, wue=WUE_RANGES)
+def test_water_reduction_is_the_energy_reduction_inside_the_wue_envelope(
+        baseline, candidate, wue):
+    wue_lo, spread = wue
+    w = Interval(wue_lo, wue_lo * spread)
+    profile = FootprintProfile("sample", 0.24, 1.1, w, 288.0, 0.03)
+    base = evaluate_scenario(_scenario(**baseline), profile)
+    assume(min(base.energy_kwh.lo, base.water_l.lo) > 0)
+    cand = evaluate_scenario(_scenario(**candidate), profile)
+    try:
+        comparison = compare_scenarios(base, cand)
+    except ValueError as exc:
+        assert "must be finite, got inf" in str(exc)
+        return
+    matched = ((base.energy_kwh.lo, cand.energy_kwh.lo), (base.energy_kwh.hi, cand.energy_kwh.hi))
+    envelope = [(1.0 - (c * w_c) / (b * w_b)) * 100.0
+                for b, c in matched for w_b in (w.lo, w.hi) for w_c in (w.lo, w.hi)]
+    water, energy = comparison.water_reduction_pct, comparison.energy_reduction_pct
+
+    assert min(envelope) <= water.lo <= water.hi <= max(envelope)
+    assert math.isclose(water.lo, energy.lo, rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(water.hi, energy.hi, rel_tol=1e-9, abs_tol=1e-9)
+    # A candidate whose energy is negligible next to the baseline's
+    # reduces by 100% under every pairing once rounded to a float.
+    if w.lo < w.hi and max(c / b for b, c in matched) > 1e-9:
+        assert max(envelope) - min(envelope) > water.hi - water.lo
