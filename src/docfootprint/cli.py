@@ -76,6 +76,26 @@ def _token_arg(text: str) -> int | str:
         return -1 if text.strip().startswith("-") else _MAX_TOKENS + 1
 
 
+def _count_positions(argv: list[str]) -> list[int]:
+    """Where thinking-delta's counts stand in its argv (argv[0] names it).
+
+    argparse reads an argument that starts with "-" and is no plain
+    negative number (-1e5, -x) as an option, and -- as the end of the
+    options. Here only the subcommand's own options, spelled in full,
+    are options, the argument after --config or --profile is its value,
+    and every other argument is a count, whatever its first character.
+    """
+    positions, i = [], 1
+    while i < len(argv):
+        if argv[i] in ("--config", "--profile"):
+            i += 1
+        elif argv[i] not in ("-h", "--help") and not argv[i].startswith(("--config=",
+                                                                          "--profile=")):
+            positions.append(i)
+        i += 1
+    return positions
+
+
 def _resolve_ledger(value: str | None) -> TokenLedger | None:
     if value is None:
         return None
@@ -243,7 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="reports", help="output directory")
     p.set_defaults(func=_cmd_usecase_run)
 
-    p = sub.add_parser("thinking-delta",
+    p = sub.add_parser("thinking-delta", allow_abbrev=False,
                        help="marginal energy/CO2/water of reasoning tokens")
     p.add_argument("base_tokens", type=_token_arg)
     p.add_argument("thinking_tokens", type=_token_arg)
@@ -269,7 +289,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    counts = []
+    if argv[:1] == ["thinking-delta"]:
+        positions = _count_positions(argv)
+        if len(positions) <= 2:
+            # argparse checks the command's shape with stand-ins for the
+            # counts, and the counts themselves are read below.
+            counts = [argv[i] for i in positions]
+            for i in positions:
+                argv[i] = "0"
     args = parser.parse_args(argv)
+    if counts:
+        args.base_tokens, args.thinking_tokens = map(_token_arg, counts)
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return 2

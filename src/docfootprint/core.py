@@ -5,15 +5,18 @@ Range-valued quantities (operator counts, kWh per day, liters per day)
 travel as closed intervals. Energy flows tokens -> Wh -> kWh and fans
 out to grams of CO2 and liters of water through a FootprintProfile.
 
-Values are validated where they are built: Interval() and the
-dataclass constructors check every field, and from_json_obj checks the
-JSON form on top.
+Values are validated where they are built: every record's hand-written
+__init__ checks its fields, and from_json_obj checks the JSON form on
+top. A record is a _Record subclass under @dataclass(init=False,
+repr=False, eq=False): the decorator only registers the fields, for
+dataclasses.fields and replace, and generates no code, and _Record
+makes the instance frozen and gives it field-wise ==, hash and repr.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
 
 WH_PER_KWH = 1000.0
 
@@ -47,18 +50,46 @@ def _require_tokens(value, name: str) -> None:
         raise ValueError(f"{name} must be <= 10**15")
 
 
-# Looked up once rather than on each Interval construction.
+# How a record's __init__ stores a field past the frozen __setattr__.
 _set_field = object.__setattr__
 
 
-def _require_number_fields(record, *names: str) -> None:
-    """Check each named field of a frozen record and store it as a float."""
-    for name in names:
-        _set_field(record, name, _require_number(getattr(record, name), name))
+class _Record:
+    """Frozen, with field-wise ==, hash and repr over __dataclass_fields__.
+
+    Each behaves as the method @dataclass(frozen=True) would generate:
+    == compares the field tuples of two instances of the same class
+    (NotImplemented otherwise), hash is that tuple's hash, and repr is
+    QualName(field=value, ...).
+    """
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        # Not self.__dict__: reading it gives the instance a dict object
+        # of its own (88 bytes for an Interval on CPython 3.11), kept for
+        # the instance's lifetime.
+        return tuple([getattr(self, name) for name in self.__dataclass_fields__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(frozen=True, init=False)
-class Interval:
+@dataclass(init=False, repr=False, eq=False)
+class Interval(_Record):
     """Closed numeric range [lo, hi]. A point value has lo == hi."""
 
     lo: float
@@ -73,7 +104,8 @@ class Interval:
             self.__post_init__()
 
     def __post_init__(self):
-        _require_number_fields(self, "lo", "hi")
+        _set_field(self, "lo", _require_number(self.lo, "lo"))
+        _set_field(self, "hi", _require_number(self.hi, "hi"))
         if self.lo > self.hi:
             raise ValueError(f"invalid interval: lo {self.lo} > hi {self.hi}")
 
@@ -156,8 +188,8 @@ def _require_rate(rate) -> float:
     return rate
 
 
-@dataclass(frozen=True)
-class FootprintProfile:
+@dataclass(init=False, repr=False, eq=False)
+class FootprintProfile(_Record):
     """Physical conversion constants for one modeled deployment.
 
     rate is the IT-side inference energy in Wh per 1,000 tokens, pue
@@ -173,18 +205,25 @@ class FootprintProfile:
     emission_factor_g_per_kwh: float
     co2_per_prompt_g: float
 
-    def __post_init__(self):
-        _set_field(self, "rate", _require_rate(self.rate))
-        _require_number_fields(self, "pue", "emission_factor_g_per_kwh", "co2_per_prompt_g")
-        if self.pue < 1.0:
-            raise ValueError(f"pue >= 1 required, got {self.pue}")
-        if self.wue.lo <= 0:
-            raise ValueError(f"wue.lo must be > 0, got {self.wue.lo}")
-        if self.emission_factor_g_per_kwh <= 0:
-            raise ValueError(
-                f"emission_factor_g_per_kwh must be > 0, got {self.emission_factor_g_per_kwh}")
-        if self.co2_per_prompt_g < 0:
-            raise ValueError(f"co2_per_prompt_g must be >= 0, got {self.co2_per_prompt_g}")
+    def __init__(self, name, rate, pue, wue, emission_factor_g_per_kwh, co2_per_prompt_g):
+        rate = _require_rate(rate)
+        pue = _require_number(pue, "pue")
+        factor = _require_number(emission_factor_g_per_kwh, "emission_factor_g_per_kwh")
+        per_prompt = _require_number(co2_per_prompt_g, "co2_per_prompt_g")
+        if pue < 1.0:
+            raise ValueError(f"pue >= 1 required, got {pue}")
+        if wue.lo <= 0:
+            raise ValueError(f"wue.lo must be > 0, got {wue.lo}")
+        if factor <= 0:
+            raise ValueError(f"emission_factor_g_per_kwh must be > 0, got {factor}")
+        if per_prompt < 0:
+            raise ValueError(f"co2_per_prompt_g must be >= 0, got {per_prompt}")
+        _set_field(self, "name", name)
+        _set_field(self, "rate", rate)
+        _set_field(self, "pue", pue)
+        _set_field(self, "wue", wue)
+        _set_field(self, "emission_factor_g_per_kwh", factor)
+        _set_field(self, "co2_per_prompt_g", per_prompt)
 
     @classmethod
     def from_json_obj(cls, name: str, obj: dict) -> "FootprintProfile":
@@ -211,37 +250,40 @@ class FootprintProfile:
         }
 
 
-@dataclass(frozen=True)
-class Energy:
+@dataclass(init=False, repr=False, eq=False)
+class Energy(_Record):
     """An amount of energy in kilowatt-hours."""
 
     kwh: float
 
-    def __post_init__(self):
-        if self.kwh < 0:
+    def __init__(self, kwh):
+        if kwh < 0:
             raise ValueError("energy must be non-negative")
+        _set_field(self, "kwh", kwh)
 
 
-@dataclass(frozen=True)
-class Carbon:
+@dataclass(init=False, repr=False, eq=False)
+class Carbon(_Record):
     """A mass of CO2 in grams."""
 
     grams: float
 
-    def __post_init__(self):
-        if self.grams < 0:
+    def __init__(self, grams):
+        if grams < 0:
             raise ValueError("carbon must be non-negative")
+        _set_field(self, "grams", grams)
 
 
-@dataclass(frozen=True)
-class Water:
+@dataclass(init=False, repr=False, eq=False)
+class Water(_Record):
     """A volume of water in liters, as a range."""
 
     liters: Interval
 
-    def __post_init__(self):
-        if self.liters.lo < 0:
+    def __init__(self, liters):
+        if liters.lo < 0:
             raise ValueError("water must be non-negative")
+        _set_field(self, "liters", liters)
 
 
 def inference_energy(tokens: int, rate: float) -> float:
@@ -305,8 +347,8 @@ def prompt_co2(prompts: int, co2_per_prompt_g: float) -> float:
     return prompts * per_prompt
 
 
-@dataclass(frozen=True)
-class ThinkingDelta:
+@dataclass(init=False, repr=False, eq=False)
+class ThinkingDelta(_Record):
     """Marginal cost of extended reasoning tokens on top of a base run.
 
     pct_increase is None when the base token count is zero and the
@@ -317,6 +359,12 @@ class ThinkingDelta:
     pct_increase: float | None
     delta_co2_g: float
     delta_water_ml: Interval
+
+    def __init__(self, delta_energy_wh, pct_increase, delta_co2_g, delta_water_ml):
+        _set_field(self, "delta_energy_wh", delta_energy_wh)
+        _set_field(self, "pct_increase", pct_increase)
+        _set_field(self, "delta_co2_g", delta_co2_g)
+        _set_field(self, "delta_water_ml", delta_water_ml)
 
 
 def thinking_delta(base_tokens: int, thinking_tokens: int,

@@ -36,7 +36,9 @@ from .core import (
     WH_PER_KWH,
     _json_fields,
     _json_obj,
+    _Record,
     _require_tokens,
+    _set_field,
     co2_from_energy,
     inference_energy,
     water_from_energy,
@@ -71,8 +73,8 @@ class InvoiceParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
-class TokenLedger:
+@dataclass(init=False, repr=False, eq=False)
+class TokenLedger(_Record):
     """Itemized token counts for one pipeline execution."""
 
     document: int
@@ -81,11 +83,18 @@ class TokenLedger:
     thinking: int
     source: str = "measured"
 
-    def __post_init__(self):
-        for name in ("document", "prompt", "output", "thinking"):
-            _require_tokens(getattr(self, name), name)
-        if self.source not in LEDGER_SOURCES:
+    def __init__(self, document, prompt, output, thinking, source="measured"):
+        _require_tokens(document, "document")
+        _require_tokens(prompt, "prompt")
+        _require_tokens(output, "output")
+        _require_tokens(thinking, "thinking")
+        if source not in LEDGER_SOURCES:
             raise ValueError(f"source must be one of {LEDGER_SOURCES}")
+        _set_field(self, "document", document)
+        _set_field(self, "prompt", prompt)
+        _set_field(self, "output", output)
+        _set_field(self, "thinking", thinking)
+        _set_field(self, "source", source)
 
     def total(self) -> int:
         return self.document + self.prompt + self.output + self.thinking
@@ -102,8 +111,8 @@ class TokenLedger:
     to_json_obj = _json_obj
 
 
-@dataclass(frozen=True)
-class LineItem:
+@dataclass(init=False, repr=False, eq=False)
+class LineItem(_Record):
     """One extracted invoice row; amounts are exact decimals."""
 
     item_id: str
@@ -112,42 +121,66 @@ class LineItem:
     total_price: Decimal
     currency: str
 
-    def __post_init__(self):
-        if not self.item_id:
+    def __init__(self, item_id, quantity, unit_price, total_price, currency):
+        if not item_id:
             raise ValueError("item_id must be non-empty")
-        for name in ("quantity", "unit_price", "total_price"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not _CURRENCY.match(self.currency):
-            raise ValueError(f"currency must be a 3-letter code, got {self.currency!r}")
+        if quantity < 0:
+            raise ValueError("quantity must be >= 0")
+        if unit_price < 0:
+            raise ValueError("unit_price must be >= 0")
+        if total_price < 0:
+            raise ValueError("total_price must be >= 0")
+        if not _CURRENCY.match(currency):
+            raise ValueError(f"currency must be a 3-letter code, got {currency!r}")
+        _set_field(self, "item_id", item_id)
+        _set_field(self, "quantity", quantity)
+        _set_field(self, "unit_price", unit_price)
+        _set_field(self, "total_price", total_price)
+        _set_field(self, "currency", currency)
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+@dataclass(init=False, repr=False, eq=False)
+class VerificationRecord(_Record):
     """One item's arithmetic check: ok within a cent, and the signed delta."""
 
     item_id: str
     ok: bool
     delta: Decimal
 
+    def __init__(self, item_id, ok, delta):
+        _set_field(self, "item_id", item_id)
+        _set_field(self, "ok", ok)
+        _set_field(self, "delta", delta)
 
-@dataclass(frozen=True)
-class Footprint:
+
+@dataclass(init=False, repr=False, eq=False)
+class Footprint(_Record):
     """Energy, CO2 and water of one pipeline run."""
 
     energy: Energy
     co2: Carbon
     water: Water
 
+    def __init__(self, energy, co2, water):
+        _set_field(self, "energy", energy)
+        _set_field(self, "co2", co2)
+        _set_field(self, "water", water)
 
-@dataclass(frozen=True)
-class ExtractionResult:
+
+@dataclass(init=False, repr=False, eq=False)
+class ExtractionResult(_Record):
     """One pipeline run: its items, ledger, footprint and verification records."""
 
     items: tuple[LineItem, ...]
     ledger: TokenLedger
     footprint: Footprint
     verification: tuple[VerificationRecord, ...]
+
+    def __init__(self, items, ledger, footprint, verification):
+        _set_field(self, "items", items)
+        _set_field(self, "ledger", ledger)
+        _set_field(self, "footprint", footprint)
+        _set_field(self, "verification", verification)
 
 
 def count_tokens(text: str) -> int:

@@ -16,9 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .core import _Record, _set_field
 
-@dataclass(frozen=True)
-class Deviation:
+
+@dataclass(init=False, repr=False, eq=False)
+class Deviation(_Record):
     """A published figure this tool does not reproduce, and why."""
 
     key: str
@@ -26,6 +28,13 @@ class Deviation:
     published: tuple[float, float] | float
     computed: tuple[float, float] | float
     note: str
+
+    def __init__(self, key, quantity, published, computed, note):
+        _set_field(self, "key", key)
+        _set_field(self, "quantity", quantity)
+        _set_field(self, "published", published)
+        _set_field(self, "computed", computed)
+        _set_field(self, "note", note)
 
 
 DEVIATIONS: tuple[Deviation, ...] = (

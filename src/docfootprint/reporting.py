@@ -15,12 +15,13 @@ import csv
 import hashlib
 import io
 import json
+import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .core import FootprintProfile, Interval, _json_fields
+from .core import FootprintProfile, Interval, _json_fields, _Record, _set_field
 from .pipeline import ExtractionResult, TokenLedger, ledger_shares
 from .scenarios import (
     DailyFootprint,
@@ -35,6 +36,8 @@ FORMATS = ("markdown", "csv", "json")
 
 _ONE = Decimal("1")
 _TENTH = Decimal("0.1")
+# Every line break str.splitlines() splits at.
+_LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
 
 class ConfigError(ValueError):
@@ -62,8 +65,8 @@ def present_pct(x: float) -> int:
     return int(present(x, 1).quantize(_ONE, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class Config:
+@dataclass(init=False, repr=False, eq=False)
+class Config(_Record):
     """A validated config: profiles, their bindings, scenarios and content hash."""
 
     profiles: dict[str, FootprintProfile]
@@ -71,6 +74,13 @@ class Config:
     usecase_profile: str
     scenarios: tuple[Scenario, ...]
     config_hash: str
+
+    def __init__(self, profiles, scenario_profile, usecase_profile, scenarios, config_hash):
+        _set_field(self, "profiles", profiles)
+        _set_field(self, "scenario_profile", scenario_profile)
+        _set_field(self, "usecase_profile", usecase_profile)
+        _set_field(self, "scenarios", scenarios)
+        _set_field(self, "config_hash", config_hash)
 
 
 def _load_json(path: Path, pointer: str) -> object:
@@ -177,6 +187,11 @@ def build_bundle(config: Config, baseline: str,
     return bundle
 
 
+def _md(name: str) -> str:
+    """A scenario name as markdown cell text: | as \\| and each line break as <br>."""
+    return _LINE_BREAK.sub("<br>", name.replace("|", "\\|"))
+
+
 def _range_cell(lo, hi) -> str:
     return f"{lo} -- {hi}"
 
@@ -229,7 +244,7 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
                     f'      "energy_per_doc_kwh": {fp.energy_per_doc_kwh!r}\n    }}')
         cells = (operators, energy, co2, water)
         csv_rows.append([name, *(str(v) for pair in cells for v in pair), per_doc])
-        md_rows.append([name, *(_range_cell(*pair) for pair in cells), per_doc])
+        md_rows.append([_md(name), *(_range_cell(*pair) for pair in cells), per_doc])
     csv_header = ["scenario", "operators_lo", "operators_hi",
                   "energy_kwh_lo", "energy_kwh_hi", "co2_kg_lo", "co2_kg_hi",
                   "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
@@ -278,6 +293,8 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     is reported ahead of a presentation failure. Each metric row's
     reduction and increase maps are written as JSON text in the loop
     that builds its CSV and markdown rows; a map with no pair is {}.
+    A repeated increase key or markdown header is a ConfigError naming
+    the later scenario, since a reader could not tell the columns apart.
     """
     pointers = {name: f"/scenarios/{i}" for i, name in enumerate(footprints)}
     reduction_keys = [n for n in footprints if n != baseline]
@@ -291,6 +308,16 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
             raise ConfigError(f"{pointers[b]}: increase column {key!r} repeats an earlier one")
         steps[key] = _ratios(increase_pct, pointers[b], f"increase vs {a}",
                              footprints[a], footprints[b])
+    md_header = ["Metric"]
+    md_header += [f"{_md(key)} vs {_md(baseline)} (reduction %)" for key in reduction_keys]
+    md_header += [f"{_md(key.replace('_vs_', ' vs '))} (increase %)" for key in steps]
+    seen = set()
+    # Each reduction column belongs to its scenario, each increase column
+    # to the later scenario of its pair.
+    for header, owner in zip(md_header[1:], [*reduction_keys, *reduction_keys[1:]]):
+        if header in seen:
+            raise ConfigError(f"{pointers[owner]}: markdown header {header!r} repeats an earlier one")
+        seen.add(header)
     rows, csv_rows, md_rows = [], [], []
     for metric, _ in _METRICS:
         reductions = {n: _pct_pair(c[metric]) for n, c in comparisons.items()}
@@ -306,9 +333,6 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         csv_header += [f"{key}_vs_{baseline}_reduction_lo", f"{key}_vs_{baseline}_reduction_hi"]
     for key in steps:
         csv_header += [f"{key}_increase_lo", f"{key}_increase_hi"]
-    md_header = ["Metric"]
-    md_header += [f"{key} vs {baseline} (reduction %)" for key in reduction_keys]
-    md_header += [f"{key.replace('_vs_', ' vs ')} (increase %)" for key in steps]
     head = f'  "table": "reduction_table",\n  "baseline": {_quote(baseline)},\n'
     return _render(_table_json(head, rows), csv_header, csv_rows, md_header, md_rows)
 

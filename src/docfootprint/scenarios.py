@@ -17,8 +17,9 @@ from .core import (
     Interval,
     _json_fields,
     _json_obj,
+    _Record,
     _require_number,
-    _require_number_fields,
+    _set_field,
     interval_scale,
     water_from_energy,
 )
@@ -26,8 +27,8 @@ from .core import (
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(frozen=True)
-class WorkforceParams:
+@dataclass(init=False, repr=False, eq=False)
+class WorkforceParams(_Record):
     """Operator workday model: an 8-hour shift with 7 productive hours,
     a capacity buffer on top of raw demand, and a flat laptop draw per
     operator-day."""
@@ -38,19 +39,27 @@ class WorkforceParams:
     buffer: float = 1.15
     laptop_kwh_per_day: float = 0.48
 
-    def __post_init__(self):
-        _require_number_fields(
-            self, "shift_hours", "productive_hours", "buffer", "laptop_kwh_per_day")
-        if self.shift_hours <= 0:
+    def __init__(self, per_doc_time_s, shift_hours=8.0, productive_hours=7.0, buffer=1.15,
+                 laptop_kwh_per_day=0.48):
+        shift_hours = _require_number(shift_hours, "shift_hours")
+        productive_hours = _require_number(productive_hours, "productive_hours")
+        buffer = _require_number(buffer, "buffer")
+        laptop_kwh_per_day = _require_number(laptop_kwh_per_day, "laptop_kwh_per_day")
+        if shift_hours <= 0:
             raise ValueError("shift_hours must be > 0")
-        if self.productive_hours <= 0 or self.productive_hours > self.shift_hours:
+        if productive_hours <= 0 or productive_hours > shift_hours:
             raise ValueError("productive_hours must be in (0, shift_hours]")
-        if self.buffer < 1.0:
-            raise ValueError(f"buffer >= 1 required, got {self.buffer}")
-        if self.per_doc_time_s.lo <= 0:
+        if buffer < 1.0:
+            raise ValueError(f"buffer >= 1 required, got {buffer}")
+        if per_doc_time_s.lo <= 0:
             raise ValueError("per_doc_time_s.lo must be > 0")
-        if self.laptop_kwh_per_day < 0:
+        if laptop_kwh_per_day < 0:
             raise ValueError("laptop_kwh_per_day must be >= 0")
+        _set_field(self, "per_doc_time_s", per_doc_time_s)
+        _set_field(self, "shift_hours", shift_hours)
+        _set_field(self, "productive_hours", productive_hours)
+        _set_field(self, "buffer", buffer)
+        _set_field(self, "laptop_kwh_per_day", laptop_kwh_per_day)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "WorkforceParams":
@@ -62,23 +71,25 @@ class WorkforceParams:
     to_json_obj = _json_obj
 
 
-@dataclass(frozen=True)
-class PipelineStage:
+@dataclass(init=False, repr=False, eq=False)
+class PipelineStage(_Record):
     """One per-document processing stage and its facility-side energy."""
 
     name: str
     energy_wh_per_doc: float
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name, energy_wh_per_doc):
+        if not isinstance(name, str) or not name:
             raise ValueError("stage name must be a non-empty string")
-        _require_number_fields(self, "energy_wh_per_doc")
-        if self.energy_wh_per_doc < 0:
+        energy_wh_per_doc = _require_number(energy_wh_per_doc, "energy_wh_per_doc")
+        if energy_wh_per_doc < 0:
             raise ValueError("energy_wh_per_doc must be >= 0")
+        _set_field(self, "name", name)
+        _set_field(self, "energy_wh_per_doc", energy_wh_per_doc)
 
 
-@dataclass(frozen=True)
-class Scenario:
+@dataclass(init=False, repr=False, eq=False)
+class Scenario(_Record):
     """A named workload configuration evaluating to a DailyFootprint."""
 
     name: str
@@ -88,28 +99,35 @@ class Scenario:
     overhead_kwh_per_day: float = 0.0
     operators_override: Interval | None = None
 
-    def __post_init__(self):
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name, daily_volume, workforce, stages=(), overhead_kwh_per_day=0.0,
+                 operators_override=None):
+        if not isinstance(name, str) or not name:
             raise ValueError("scenario name must be a non-empty string")
         try:
-            self.name.encode("utf-8")
+            name.encode("utf-8")
         except UnicodeEncodeError:
             # A lone surrogate, which JSON's "\ud800" escape can give, cannot be written out.
-            raise ValueError(f"scenario name {self.name!r} does not encode as UTF-8") from None
+            raise ValueError(f"scenario name {name!r} does not encode as UTF-8") from None
         # Rejects bools and integers too large for the float arithmetic below.
-        _require_number(self.daily_volume, "daily_volume")
-        if not isinstance(self.daily_volume, int):
+        _require_number(daily_volume, "daily_volume")
+        if not isinstance(daily_volume, int):
             raise ValueError("daily_volume must be an integer")
-        if self.daily_volume < 0:
+        if daily_volume < 0:
             raise ValueError("daily_volume must be >= 0")
-        object.__setattr__(self, "stages", tuple(self.stages))
-        _require_number_fields(self, "overhead_kwh_per_day")
-        if self.overhead_kwh_per_day < 0:
+        stages = tuple(stages)
+        overhead_kwh_per_day = _require_number(overhead_kwh_per_day, "overhead_kwh_per_day")
+        if overhead_kwh_per_day < 0:
             raise ValueError("overhead_kwh_per_day must be >= 0")
-        ov = self.operators_override
+        ov = operators_override
         if ov is not None:
             if ov.lo < 0 or ov.lo != int(ov.lo) or ov.hi != int(ov.hi):
                 raise ValueError("operators_override endpoints must be integers >= 0")
+        _set_field(self, "name", name)
+        _set_field(self, "daily_volume", daily_volume)
+        _set_field(self, "workforce", workforce)
+        _set_field(self, "stages", stages)
+        _set_field(self, "overhead_kwh_per_day", overhead_kwh_per_day)
+        _set_field(self, "operators_override", operators_override)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Scenario":
@@ -130,8 +148,8 @@ class Scenario:
     to_json_obj = _json_obj
 
 
-@dataclass(frozen=True)
-class DailyFootprint:
+@dataclass(init=False, repr=False, eq=False)
+class DailyFootprint(_Record):
     """A scenario's daily operators, energy, CO2 and water, and its energy per document."""
 
     operators: Interval
@@ -140,12 +158,22 @@ class DailyFootprint:
     water_l: Interval
     energy_per_doc_kwh: float
 
-    def __post_init__(self):
-        for name in ("operators", "energy_kwh", "co2_kg", "water_l"):
-            if getattr(self, name).lo < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.energy_per_doc_kwh < 0:
+    def __init__(self, operators, energy_kwh, co2_kg, water_l, energy_per_doc_kwh):
+        if operators.lo < 0:
+            raise ValueError("operators must be non-negative")
+        if energy_kwh.lo < 0:
+            raise ValueError("energy_kwh must be non-negative")
+        if co2_kg.lo < 0:
+            raise ValueError("co2_kg must be non-negative")
+        if water_l.lo < 0:
+            raise ValueError("water_l must be non-negative")
+        if energy_per_doc_kwh < 0:
             raise ValueError("energy_per_doc_kwh must be >= 0")
+        _set_field(self, "operators", operators)
+        _set_field(self, "energy_kwh", energy_kwh)
+        _set_field(self, "co2_kg", co2_kg)
+        _set_field(self, "water_l", water_l)
+        _set_field(self, "energy_per_doc_kwh", energy_per_doc_kwh)
 
 
 def docs_per_operator_day(w: WorkforceParams) -> Interval:
@@ -225,13 +253,18 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
     )
 
 
-@dataclass(frozen=True)
-class ScenarioComparison:
+@dataclass(init=False, repr=False, eq=False)
+class ScenarioComparison(_Record):
     """Percent reductions of a candidate footprint against a baseline, per metric."""
 
     energy_reduction_pct: Interval
     co2_reduction_pct: Interval
     water_reduction_pct: Interval
+
+    def __init__(self, energy_reduction_pct, co2_reduction_pct, water_reduction_pct):
+        _set_field(self, "energy_reduction_pct", energy_reduction_pct)
+        _set_field(self, "co2_reduction_pct", co2_reduction_pct)
+        _set_field(self, "water_reduction_pct", water_reduction_pct)
 
 
 def increase_pct(base: Interval, candidate: Interval) -> Interval:

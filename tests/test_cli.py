@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import docfootprint
-from docfootprint.cli import main
+from docfootprint.cli import DEFAULT_CONFIG, main
 
 
 def _read_tree(root):
@@ -188,9 +188,15 @@ _NINES = int("9" * 400)
     (["thinking-delta", "1", "1" * 5000], None, "thinking_tokens must be <= 10**15"),
     (["thinking-delta", "1", "-" + "1" * 5000], None, "thinking_tokens must be >= 0"),
     (["thinking-delta", "x", "1"], None, "base_tokens must be an integer"),
+    # Counts that argparse alone would read as options.
+    (["thinking-delta", "1", "-1e5"], None, "thinking_tokens must be an integer"),
+    (["thinking-delta", "--", "1"], None, "base_tokens must be an integer"),
+    (["thinking-delta", "1", "--conf", "--config", str(DEFAULT_CONFIG)],
+     None, "thinking_tokens must be an integer"),
 ], ids=["usecase-zero-total", "report-zero-total", "usecase-huge-count",
         "report-huge-count", "thinking-1e28", "thinking-400-digits", "thinking-5000-digits",
-        "thinking-negative-5000-digits", "thinking-not-an-integer"])
+        "thinking-negative-5000-digits", "thinking-not-an-integer", "thinking-dash-exponent",
+        "thinking-double-dash", "thinking-option-prefix"])
 def test_bad_token_counts_are_input_errors(tmp_path, capsys, argv, ledger, message):
     out = tmp_path / "reports"
     if ledger is not None:

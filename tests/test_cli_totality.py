@@ -157,23 +157,20 @@ _COUNTS = st.one_of(
 @settings(derandomize=True, max_examples=300, deadline=None, database=None)
 @given(base=_COUNTS, thinking=_COUNTS)
 def test_thinking_delta_exits_0_or_2_on_any_count_text(base, thinking):
-    """Any integer, of any length or sign, or any other text as either count:
-    exit 0 with four result lines, or exit 2 with one error line naming the
-    first bad count and nothing on stdout."""
+    """Any integer, of any length or sign, or any other text as either count,
+    whatever its first character: exit 0 with four result lines, or exit 2
+    with one error line naming the first bad count and nothing on stdout.
+    -h in either place prints the help instead."""
     out, err = io.StringIO(), io.StringIO()
-    try:
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(["thinking-delta", base[0], thinking[0]])
-    except SystemExit as exc:
-        # argparse reads text that starts with "-" and is no negative number
-        # as an option; it prints its usage, then one error line, or the help.
-        assert base[0].startswith("-") or thinking[0].startswith("-")
-        assert exc.code in (0, 2)
-        if exc.code == 2:
-            assert out.getvalue() == ""
-            assert err.getvalue().splitlines()[-1].startswith(
-                "docfootprint thinking-delta: error: ")
+    argv = ["thinking-delta", base[0], thinking[0]]
+    if "-h" in argv:
+        with pytest.raises(SystemExit) as exc, redirect_stdout(out), redirect_stderr(err):
+            main(argv)
+        assert exc.value.code == 0 and err.getvalue() == ""
+        assert out.getvalue().startswith("usage: docfootprint thinking-delta ")
         return
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
     bad = [(name, value) for name, (_, value) in (("base_tokens", base),
                                                   ("thinking_tokens", thinking))
            if value is None or not 0 <= value <= 10 ** 15]

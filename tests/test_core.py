@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import importlib
 import math
 import sys
 from pathlib import Path
@@ -13,17 +14,22 @@ from docfootprint import (
     Energy,
     FootprintProfile,
     Interval,
+    TokenLedger,
     Water,
     apply_pue,
     co2_from_energy,
+    compare_scenarios,
+    evaluate_scenario,
     inference_energy,
     interval_add,
     interval_scale,
     prompt_co2,
+    run_pipeline,
     thinking_delta,
     water_from_energy,
 )
-from docfootprint.core import _require_number
+from docfootprint.reference import DEVIATIONS
+from docfootprint.core import _Record, _require_number
 
 
 def test_interval_rejects_inverted_bounds():
@@ -342,3 +348,109 @@ def test_every_dataclass_has_a_written_docstring():
                 found[node.name] = ast.get_docstring(node)
     assert {"Interval", "LineItem", "Config", "DailyFootprint", "Deviation"} <= set(found)
     assert [name for name, doc in found.items() if not doc] == []
+
+
+def _record_classes():
+    """Every dataclass the package defines, found by walking its modules."""
+    package = Path(docfootprint.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        module = importlib.import_module(f"docfootprint.{path.stem}")
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+RECORD_CLASSES = _record_classes()
+
+
+def _collect(value, into):
+    """Every record reachable from value, grouped by class."""
+    if dataclasses.is_dataclass(value):
+        into.setdefault(type(value), []).append(value)
+        for field in dataclasses.fields(value):
+            _collect(getattr(value, field.name), into)
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            _collect(item, into)
+    elif isinstance(value, dict):
+        for item in value.values():
+            _collect(item, into)
+
+
+@pytest.fixture(scope="module")
+def record_samples(config, invoice_text):
+    """Up to a few instances of every record class, from real runs."""
+    profile = config.profiles[config.scenario_profile]
+    footprints = [evaluate_scenario(s, profile) for s in config.scenarios]
+    ledger = TokenLedger(document=10, prompt=20, output=30, thinking=40)
+    roots = [config, dataclasses.replace(config, config_hash="0" * 64), footprints,
+             [compare_scenarios(footprints[0], f) for f in footprints],
+             run_pipeline(invoice_text, "prompt", profile),
+             run_pipeline(invoice_text, "prompt", profile, ledger_override=ledger),
+             thinking_delta(18000, 10000, profile), thinking_delta(0, 5, profile),
+             DEVIATIONS]
+    samples = {}
+    _collect(roots, samples)
+    return samples
+
+
+def _reference_class(cls):
+    """What @dataclass(frozen=True) generates for cls's fields and defaults."""
+    spec = [(f.name, f.type) if f.default is dataclasses.MISSING
+            else (f.name, f.type, dataclasses.field(default=f.default))
+            for f in dataclasses.fields(cls)]
+    return dataclasses.make_dataclass(cls.__qualname__, spec, frozen=True)
+
+
+def _outcome(action):
+    try:
+        return action()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def test_records_are_found(record_samples):
+    names = {cls.__name__ for cls in RECORD_CLASSES}
+    assert {"Interval", "FootprintProfile", "LineItem", "Scenario", "DailyFootprint",
+            "Config", "Deviation"} <= names
+    assert set(record_samples) == set(RECORD_CLASSES)
+
+
+@pytest.mark.parametrize("cls", RECORD_CLASSES, ids=lambda cls: cls.__name__)
+def test_record_protocol_matches_a_generated_frozen_dataclass(cls, record_samples):
+    reference = _reference_class(cls)
+    samples = record_samples[cls][:3]
+    names = [f.name for f in dataclasses.fields(cls)]
+    as_reference = {}
+    for obj in samples:
+        values = {name: getattr(obj, name) for name in names}
+        as_reference[id(obj)] = ref = reference(**values)
+        for action in (lambda o: setattr(o, names[0], None), lambda o: delattr(o, names[-1]),
+                       lambda o: setattr(o, "other", 1)):
+            assert _outcome(lambda: action(obj)) == _outcome(lambda: action(ref))
+        assert repr(obj) == repr(ref)
+        assert _outcome(lambda: hash(obj)) == _outcome(lambda: hash(ref))
+        copy = dataclasses.replace(obj)
+        assert copy == obj and copy is not obj and type(copy) is cls
+        assert obj.__eq__(ref) is NotImplemented and obj != ref
+    for a in samples:
+        for b in samples:
+            assert (a == b) == (as_reference[id(a)] == as_reference[id(b)])
+            assert (a != b) == (as_reference[id(a)] != as_reference[id(b)])
+    # Missing, all missing and unexpected arguments give the same TypeError.
+    required = [f.name for f in dataclasses.fields(cls) if f.default is dataclasses.MISSING]
+    values = {name: getattr(samples[0], name) for name in names}
+    for kwargs in ({}, {k: v for k, v in values.items() if k != required[-1]},
+                   {**values, "unknown": 1}):
+        got, want = _outcome(lambda: cls(**kwargs)), _outcome(lambda: reference(**kwargs))
+        assert got[0] is TypeError and got == want
+
+
+def test_records_generate_no_dataclass_methods():
+    # @dataclass only registers the fields; _Record supplies the protocol.
+    for cls in RECORD_CLASSES:
+        params = cls.__dataclass_params__
+        assert (params.init, params.repr, params.eq, params.frozen) == (False,) * 4, cls
+        assert issubclass(cls, _Record)

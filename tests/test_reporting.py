@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import re
 import shutil
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from docfootprint import (
     ConfigError,
@@ -364,3 +366,82 @@ def test_json_texts_are_canonical_indent_2(config, invoice_text, prompt_text, pe
                 table = _canonical(emit_table(b, "token_table", "json"))
                 assert list(table) == ["table", "source", "rows", "total_tokens",
                                        "total_share_pct"]
+
+
+# Name pieces that can break a markdown row or make two headers alike.
+_NAME_PIECES = st.sampled_from(["p", "q", "r", "|", "\\", "\\|", "\n", "\r\n", "\u2028", "\x85",
+                                "<br>", "_vs_", " vs "])
+_NAMES = st.lists(st.lists(_NAME_PIECES, min_size=1, max_size=4).map("".join),
+                  min_size=1, max_size=5, unique=True)
+
+
+def _md_cells(row):
+    return re.split(r"(?<!\\)\|", row)
+
+
+def _expected_md_header(names, baseline):
+    """The reduction table's markdown header by the README's rule."""
+    def cell(name):
+        return re.sub(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]", "<br>",
+                      name.replace("|", "\\|"))
+    others = [n for n in names if n != baseline]
+    return (["Metric"] + [f"{cell(n)} vs {cell(baseline)} (reduction %)" for n in others]
+            + [f"{cell(f'{b}_vs_{a}'.replace('_vs_', ' vs '))} (increase %)"
+               for a, b in zip(others, others[1:])])
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@example(names=["manual", "r", "p vs q", "q vs r", "p"], baseline_index=0)
+@example(names=["m", "a|b", "a\\|b", "c\nd", "c<br>d"], baseline_index=0)
+@given(names=_NAMES, baseline_index=st.integers(0, 4))
+def test_markdown_rows_have_their_header_cells_and_headers_differ(config, names,
+                                                                  baseline_index):
+    """Whatever a scenario is named, each markdown row, split at | not
+    preceded by \\, has as many cells as its header, the table has one
+    line per row, and no two headers are alike; a name set that would
+    repeat an increase key or a header is a ConfigError instead."""
+    baseline = names[baseline_index % len(names)]
+    cfg = dataclasses.replace(config, scenarios=tuple(
+        dataclasses.replace(config.scenarios[i % 3], name=n) for i, n in enumerate(names)))
+    others = [n for n in names if n != baseline]
+    keys = [f"{b}_vs_{a}" for a, b in zip(others, others[1:])]
+    header = _expected_md_header(names, baseline)
+    try:
+        bundle = build_bundle(cfg, baseline)
+    except ConfigError as exc:
+        assert len(set(keys)) < len(keys) or len(set(header)) < len(header)
+        assert re.fullmatch(r"/scenarios/\d+: (increase column|markdown header) .* repeats "
+                            r"an earlier one", str(exc), re.DOTALL)
+        return
+    assert len(set(header)) == len(header)
+    for table, lines in (("scenario_table", 2 + len(names)), ("reduction_table", 5)):
+        rows = emit_table(bundle, table, "markdown").splitlines()
+        assert len(rows) == lines
+        assert {len(_md_cells(row)) for row in rows} == {len(_md_cells(rows[0]))}
+    assert rows[0] == "| " + " | ".join(header) + " |"
+
+
+def test_repeated_markdown_header_names_the_later_scenario(config):
+    # Distinct keys p vs q_vs_r and p_vs_q vs r both read "p vs q vs r".
+    names = ["manual", "r", "p vs q", "q vs r", "p"]
+    cfg = dataclasses.replace(config, scenarios=tuple(
+        dataclasses.replace(config.scenarios[i % 3], name=n) for i, n in enumerate(names)))
+    with pytest.raises(ConfigError) as info:
+        build_bundle(cfg, "manual")
+    assert str(info.value) == ("/scenarios/4: markdown header 'p vs q vs r (increase %)' "
+                               "repeats an earlier one")
+
+
+def test_markdown_escapes_pipes_and_line_breaks_in_names(config):
+    names = ["manual", "a|b", "c\nd"]
+    cfg = dataclasses.replace(config, scenarios=tuple(
+        dataclasses.replace(config.scenarios[i], name=n) for i, n in enumerate(names)))
+    bundle = build_bundle(cfg, "manual")
+    assert emit_table(bundle, "reduction_table", "markdown").splitlines()[0] == (
+        "| Metric | a\\|b vs manual (reduction %) | c<br>d vs manual (reduction %) "
+        "| c<br>d vs a\\|b (increase %) |")
+    rows = emit_table(bundle, "scenario_table", "markdown").splitlines()
+    assert [row.split(" | ")[0] for row in rows[3:]] == ["| a\\|b", "| c<br>d"]
+    # CSV and JSON keep the names as they are.
+    assert "a|b" in emit_table(bundle, "scenario_table", "csv")
+    assert json.loads(emit_table(bundle, "scenario_table", "json"))["rows"][2]["scenario"] == "c\nd"
