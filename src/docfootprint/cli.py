@@ -241,7 +241,8 @@ def _add_usecase_inputs(parser: argparse.ArgumentParser) -> None:
                         help="profile name (default: the config's usecase binding)")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="docfootprint",
         description="Energy, CO2, and water footprint modeling for "
@@ -284,11 +285,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="markdown", choices=FORMATS)
     p.set_defaults(func=_cmd_report_emit)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    parser, commands = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     counts = []
     if argv[:1] == ["thinking-delta"]:
@@ -299,7 +300,12 @@ def main(argv=None) -> int:
             counts = [argv[i] for i in positions]
             for i in positions:
                 argv[i] = "0"
-    args = parser.parse_args(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        # The chosen command reports them with its own usage, as argparse
+        # reports its other errors; it exits 2.
+        commands.get(args.command, parser).error(
+            f"unrecognized arguments: {' '.join(extras)}")
     if counts:
         args.base_tokens, args.thinking_tokens = map(_token_arg, counts)
     if not getattr(args, "func", None):

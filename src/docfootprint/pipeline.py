@@ -52,7 +52,12 @@ THINKING_NORMALIZATION_FACTOR = 1.15
 COMPLEXITY_NORMALIZATION_FACTOR = 1.5
 
 _ITEM_ROW = re.compile(r"^\s*ITEM\s+\d+\s*\|")
-_CURRENCY = re.compile(r"^[A-Z]{3}$")
+# A well-formed row: id, description, three plain amounts, currency. A str
+# pattern's \s matches exactly what str.strip() removes, so the groups are
+# the fields _parse_row reads. Compiled on first use, not at import.
+_AMOUNT = r"\s*([0-9][0-9,]*(?:\.[0-9]+)?)\s*"
+_ROW = rf"\s*(ITEM\s+\d+)\s*\|[^|]*\|{_AMOUNT}\|{_AMOUNT}\|{_AMOUNT}\|\s*([A-Z]{{3}})\s*"
+_CURRENCY = re.compile(r"[A-Z]{3}")
 _CENT = Decimal("0.01")
 # Parsed amounts stay below this magnitude after abs() rounds them to 28
 # digits (abs() past the exponent range raises Overflow, also rejected), so
@@ -130,7 +135,7 @@ class LineItem(_Record):
             raise ValueError("unit_price must be >= 0")
         if total_price < 0:
             raise ValueError("total_price must be >= 0")
-        if not _CURRENCY.match(currency):
+        if not _CURRENCY.fullmatch(currency):
             raise ValueError(f"currency must be a 3-letter code, got {currency!r}")
         _set_field(self, "item_id", item_id)
         _set_field(self, "quantity", quantity)
@@ -206,6 +211,25 @@ def _parse_decimal(raw: str, line_number: int, what: str) -> Decimal:
     return value
 
 
+def _parse_row(line: str, line_number: int) -> LineItem:
+    # Stripping each field also strips the line's two ends.
+    fields = [f.strip() for f in line.split("|")]
+    if len(fields) != 6:
+        raise InvoiceParseError(
+            line_number,
+            f"expected 6 pipe-delimited fields, got {len(fields)}")
+    item_id, _description, qty_raw, unit_raw, total_raw, currency = fields
+    if not _CURRENCY.fullmatch(currency):
+        raise InvoiceParseError(line_number, f"bad currency code: {currency!r}")
+    return LineItem(
+        item_id=item_id,
+        quantity=_parse_decimal(qty_raw, line_number, "quantity"),
+        unit_price=_parse_decimal(unit_raw, line_number, "unit price"),
+        total_price=_parse_decimal(total_raw, line_number, "total price"),
+        currency=currency,
+    )
+
+
 def parse_invoice(document: str) -> list[LineItem]:
     """Extract line items from a pipe-delimited invoice document.
 
@@ -213,27 +237,31 @@ def parse_invoice(document: str) -> list[LineItem]:
         ITEM 03 | Integration service | 40 | 85.00 | 3400.00 | EUR
     Non-matching lines are treated as surrounding prose and skipped.
     Numbers may use comma grouping ("1,234.56").
+
+    A row of plain in-range amounts is read from one pattern match; any
+    other row goes field by field through _parse_row, which gives the
+    same item and is the only source of error messages.
     """
+    row = re.compile(_ROW).fullmatch
     items: list[LineItem] = []
     for line_number, line in enumerate(document.splitlines(), start=1):
-        if not _ITEM_ROW.match(line):
+        match = row(line)
+        if match is not None:
+            item_id, qty, unit, total, currency = match.groups()
+            quantity = Decimal(qty.replace(",", ""))
+            unit_price = Decimal(unit.replace(",", ""))
+            total_price = Decimal(total.replace(",", ""))
+            try:
+                in_range = (abs(quantity) < _MAX_AMOUNT and abs(unit_price) < _MAX_AMOUNT
+                            and abs(total_price) < _MAX_AMOUNT)
+            except DecimalException:
+                in_range = False
+            if in_range:
+                items.append(LineItem(item_id, quantity, unit_price, total_price, currency))
+                continue
+        elif not _ITEM_ROW.match(line):
             continue
-        # Stripping each field also strips the line's two ends.
-        fields = [f.strip() for f in line.split("|")]
-        if len(fields) != 6:
-            raise InvoiceParseError(
-                line_number,
-                f"expected 6 pipe-delimited fields, got {len(fields)}")
-        item_id, _description, qty_raw, unit_raw, total_raw, currency = fields
-        if not _CURRENCY.match(currency):
-            raise InvoiceParseError(line_number, f"bad currency code: {currency!r}")
-        items.append(LineItem(
-            item_id=item_id,
-            quantity=_parse_decimal(qty_raw, line_number, "quantity"),
-            unit_price=_parse_decimal(unit_raw, line_number, "unit price"),
-            total_price=_parse_decimal(total_raw, line_number, "total price"),
-            currency=currency,
-        ))
+        items.append(_parse_row(line, line_number))
     if not items:
         import logging  # only here, so runs that match items never import it
 
@@ -249,48 +277,34 @@ def verify_items(items: list[LineItem] | tuple[LineItem, ...]) -> list[Verificat
     overstated total reports a positive delta. Failures are data, not
     exceptions.
     """
-    records = []
-    for item in items:
-        delta = item.total_price - item.quantity * item.unit_price
-        records.append(VerificationRecord(
-            item_id=item.item_id,
-            ok=abs(delta) <= _CENT,
-            delta=delta.quantize(_CENT, rounding=ROUND_HALF_UP),
-        ))
-    return records
-
-
-def _qty_literal(q: Decimal) -> str:
-    if q == q.to_integral_value():
-        return str(int(q))
-    # Under the default 28-digit context normalize() would round a longer
-    # quantity, and the output would differ from the value verified.
-    return str(q.normalize(_EXACT))
-
-
-def _price_literal(p: Decimal) -> str:
-    return str(p.quantize(_CENT, rounding=ROUND_HALF_UP))
+    return [VerificationRecord(item.item_id, abs(delta) <= _CENT,
+                               delta.quantize(_CENT, rounding=ROUND_HALF_UP))
+            for item in items
+            for delta in [item.total_price - item.quantity * item.unit_price]]
 
 
 def render_output_json(items: list[LineItem] | tuple[LineItem, ...]) -> str:
     """Serialize items to the fixed-field-order extraction output format.
 
     Prices always carry two decimals, which json.dumps cannot emit for
-    float values, so rows are rendered by hand.
+    float values, so rows are rendered by hand. A whole quantity renders
+    as an integer; any other is normalized in a context that never
+    rounds, since the default 28 digits would round a longer quantity
+    and the output would differ from the value verified.
     """
     if not items:
         return "[]\n"
-    rows = []
-    for item in items:
-        rows.append(
-            '  {"item_id": %s, "quantity": %s, "unit_price": %s,'
-            ' "total_price": %s, "currency": %s}' % (
-                _quote(item.item_id),
-                _qty_literal(item.quantity),
-                _price_literal(item.unit_price),
-                _price_literal(item.total_price),
-                _quote(item.currency),
-            ))
+    rows = [
+        '  {"item_id": %s, "quantity": %s, "unit_price": %s,'
+        ' "total_price": %s, "currency": %s}' % (
+            _quote(item.item_id),
+            int(q) if q == q.to_integral_value() else q.normalize(_EXACT),
+            item.unit_price.quantize(_CENT, rounding=ROUND_HALF_UP),
+            item.total_price.quantize(_CENT, rounding=ROUND_HALF_UP),
+            _quote(item.currency),
+        )
+        for item in items
+        for q in [item.quantity]]
     return "[\n" + ",\n".join(rows) + "\n]\n"
 
 

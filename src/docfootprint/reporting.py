@@ -11,7 +11,6 @@ decimal arithmetic, exactly as the reference tables were produced.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
@@ -359,6 +358,8 @@ def _json_text(obj) -> str:
 
 def _render(json_text, csv_header, csv_rows, md_header, md_rows) -> dict[str, str]:
     """One table's final text in every format, given its JSON text."""
+    import csv  # only here, so commands that emit no table never import it
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows((csv_header, *csv_rows))
     markdown = "".join("| " + " | ".join(row) + " |\n"

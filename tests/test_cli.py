@@ -173,6 +173,35 @@ def test_no_subcommand_shows_help(capsys):
     assert "COMMAND" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, extra", [
+    (["thinking-delta", "1", "2", "3"], "3"),
+    (["scenario-compare", "x"], "x"),
+])
+def test_extra_arguments_are_reported_by_their_command(tmp_path, monkeypatch, capsys,
+                                                       argv, extra):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: docfootprint {argv[0]} [-h]")
+    assert captured.err.endswith(
+        f"\ndocfootprint {argv[0]}: error: unrecognized arguments: {extra}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_import_leaves_csv_and_logging_unloaded():
+    # A fresh interpreter: the tests running here have imported both.
+    src_root = str(Path(docfootprint.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, docfootprint.cli; "
+         "print(sorted({'csv', 'logging'} & set(sys.modules)))"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src_root},
+        check=True)
+    assert proc.stdout == "[]\n"
+
+
 _ZERO_LEDGER = {"document": 0, "prompt": 0, "output": 0, "thinking": 0}
 _NINES = int("9" * 400)
 

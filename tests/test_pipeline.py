@@ -1,8 +1,10 @@
 import dataclasses
 import logging
+import re
 from decimal import Decimal
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from docfootprint import (
     InvoiceParseError,
@@ -17,7 +19,7 @@ from docfootprint import (
     run_pipeline,
     verify_items,
 )
-from docfootprint.pipeline import _qty_literal
+from docfootprint.pipeline import _ITEM_ROW, _ROW, _parse_row
 
 SPEC_ROW = "ITEM 03 | Integration service | 40 | 85.00 | 3400.00 | EUR"
 
@@ -102,6 +104,87 @@ def test_bad_number_and_currency_rejected():
         parse_invoice("ITEM 01 | Widget | -5 | 2.00 | 10.00 | EUR")
 
 
+def test_line_item_validation():
+    LineItem("ITEM 1", Decimal(1), Decimal(2), Decimal(2), "EUR")
+    for fields, message in [
+        (("", Decimal(1), Decimal(2), Decimal(2), "EUR"), "item_id must be non-empty"),
+        (("ITEM 1", Decimal(-1), Decimal(2), Decimal(2), "EUR"), "quantity must be >= 0"),
+        (("ITEM 1", Decimal(1), Decimal(-2), Decimal(2), "EUR"), "unit_price must be >= 0"),
+        (("ITEM 1", Decimal(1), Decimal(2), Decimal(-2), "EUR"), "total_price must be >= 0"),
+        (("ITEM 1", Decimal(1), Decimal(2), Decimal(2), "eur"), "currency must be"),
+        (("ITEM 1", Decimal(1), Decimal(2), Decimal(2), "EURO"), "currency must be"),
+        (("ITEM 1", Decimal(1), Decimal(2), Decimal(2), "EUR\n"), "currency must be"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            LineItem(*fields)
+
+
+def test_row_pattern_whitespace_is_what_strip_removes():
+    # The pattern path and _parse_row agree only if this holds.
+    space = re.compile(r"\s").fullmatch
+    assert [hex(c) for c in range(0x110000)
+            if (space(chr(c)) is not None) != (chr(c).strip() == "")] == []
+
+
+# Row lines built from the grammar's pieces and from near misses. A line
+# built only from grammar pieces is a plain row, which the pattern must take.
+_DIGITS = "0123456789"
+_SPACE = st.text("\t\x1f\xa0 \u3000", max_size=2)
+_FIELDS = [  # (grammar piece, near misses) per field
+    (st.text(_DIGITS + "\u0663", min_size=1, max_size=3), st.sampled_from(["12a", "1 2", "3."])),
+    (st.text("Widget 24\xa0\u0663-,.", max_size=8), st.text("ab|", max_size=4)),
+    *[(st.tuples(st.sampled_from(_DIGITS), st.text(_DIGITS + ",", max_size=6),
+                 st.text(_DIGITS, max_size=3).map(lambda f: "." + f if f else "")).map("".join),
+       st.text(_DIGITS + ",._e+-\u0663xE|", max_size=8) | st.sampled_from(
+           ["1e3", "1_000", "+5", "-0", "1,2,3", "\u0663", "1.", ".5", "NaN", "9999999999999.99",
+            "10,000,000,000,000", "9999999999999.999999999999999999"]))] * 3,
+    (st.text("EURSDABC", min_size=3, max_size=3), st.sampled_from(["eur", "EU", "EURO", "E1R", ""])),
+    (st.just([]), st.sampled_from([["x"], ["x", "y"]])),  # fields past the sixth
+]
+
+
+@st.composite
+def _row_lines(draw):
+    plain, pieces = True, []
+    for grammar, near in _FIELDS:
+        if draw(st.integers(0, 7)):
+            pieces.append(draw(grammar))
+        else:
+            plain = False
+            pieces.append(draw(near))
+    number, description, *amounts, currency, extra = pieces
+    if not plain and not draw(st.integers(0, 7)):
+        amounts.pop()  # five fields
+    fields = [f"ITEM{draw(_SPACE.filter(bool))}{number}", description, *amounts, currency]
+    pad = [draw(_SPACE) + f + draw(_SPACE) if i != 1 else f for i, f in enumerate(fields)]
+    return "|".join(pad + extra), plain
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@example(("ITEM 01 | Widget | 9999999999999.999999999999999999 | 2.00 | 0.00 | EUR", False))
+@example(("ITEM 01 | Widget | 1e3 | 2.00 | 2000.00 | EUR", False))
+@example((f"ITEM 01 | Widget | {'9' * 1_000_001} | 2.00 | 0.00 | EUR", False))  # abs() overflows
+@given(_row_lines())
+def test_pattern_rows_parse_as_field_by_field(line_and_plain):
+    """Every row line parses to the item, or fails with the error, that
+    _parse_row gives it, every plain row matches the row pattern, and a
+    line that is no row is skipped."""
+    line, plain = line_and_plain
+    if plain:
+        assert re.fullmatch(_ROW, line)
+    if not _ITEM_ROW.match(line):
+        assert parse_invoice(line) == []
+        return
+    try:
+        expected = repr([_parse_row(line, 1)])
+    except InvoiceParseError as exc:
+        with pytest.raises(InvoiceParseError) as got:
+            parse_invoice(line)
+        assert str(got.value) == str(exc)
+    else:
+        assert repr(parse_invoice(line)) == expected
+
+
 def test_verify_items_ok_and_delta_sign():
     ok_item = LineItem("ITEM 03", Decimal("40"), Decimal("85.00"),
                        Decimal("3400.00"), "EUR")
@@ -153,6 +236,13 @@ def test_render_output_matches_reference_fixture(invoice_text, fixtures_dir):
     assert render_output_json(parse_invoice(invoice_text)) == reference
 
 
+def _quantity_texts(quantities: list[Decimal]) -> list[str]:
+    """The quantities as render_output_json writes them."""
+    out = render_output_json([LineItem("ITEM 1", q, Decimal(0), Decimal(0), "EUR")
+                              for q in quantities])
+    return re.findall(r'"quantity": ([^,]*),', out)
+
+
 def test_quantities_render_as_before_up_to_28_digits(invoice_text, perfbench_gen):
     documents = [invoice_text] + [invoice.text for invoice in
                                   perfbench_gen.invoice_corpus(1)
@@ -161,11 +251,10 @@ def test_quantities_render_as_before_up_to_28_digits(invoice_text, perfbench_gen
     quantities += [Decimal(raw) for raw in ("0.0000001", "1E-7", "1.50", "120.500", "0.10",
                                             "1.234567890123456789012345678")]
     assert any(q != q.to_integral_value() for q in quantities)
-    for q in quantities:
-        # The rendering of a 28-digit context: exact at these lengths.
-        expected = str(int(q)) if q == q.to_integral_value() else str(q.normalize())
-        assert _qty_literal(q) == expected
-    assert _qty_literal(Decimal("0.0000001")) == "1E-7"
+    # The rendering of a 28-digit context: exact at these lengths.
+    assert _quantity_texts(quantities) == [
+        str(int(q)) if q == q.to_integral_value() else str(q.normalize()) for q in quantities]
+    assert _quantity_texts([Decimal("0.0000001")]) == ["1E-7"]
 
 
 def test_long_quantity_renders_as_verified():
