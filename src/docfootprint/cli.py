@@ -302,9 +302,12 @@ def main(argv=None) -> int:
                 argv[i] = "0"
     args, extras = parser.parse_known_args(argv)
     if extras:
-        # The chosen command reports them with its own usage, as argparse
-        # reports its other errors; it exits 2.
-        commands.get(args.command, parser).error(
+        # Extras before the command (only unknown options can stand there)
+        # were left by the top-level parser, which then reports them all,
+        # as parse_args would. Otherwise the chosen command reports its
+        # own, with its own usage. Either exits 2.
+        leading = argv[:argv.index(args.command)] if args.command in argv else argv
+        (parser if leading else commands[args.command]).error(
             f"unrecognized arguments: {' '.join(extras)}")
     if counts:
         args.base_tokens, args.thinking_tokens = map(_token_arg, counts)

@@ -25,11 +25,19 @@ WH_PER_KWH = 1000.0
 _MAX_TOKENS = 10 ** 15
 
 
+# float(n) of an int n is finite exactly when |n| < 2**1024 - 2**970: that
+# bound lies halfway between the largest float and 2**1024 and rounds up.
+_FLOAT_INT_BOUND = 2 ** 1024 - 2 ** 970
+
+
 def _require_number(value, name: str) -> float:
-    # Fast path: a finite float (x - x is 0.0 only for finite x) is
-    # returned as is, exactly as the checks below would return it.
+    # Fast paths: a finite float (x - x is 0.0 only for finite x) is
+    # returned as is, and an int (not a bool) within the float range is
+    # converted, exactly as the checks below would return them.
     if type(value) is float and value - value == 0.0:
         return value
+    if type(value) is int and -_FLOAT_INT_BOUND < value < _FLOAT_INT_BOUND:
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name}: expected a number, got {value!r}")
     try:
@@ -132,9 +140,12 @@ def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
     for key in required:
         if key not in obj:
             raise ValueError(f"{key}: missing required key")
-    unknown = sorted(set(obj).difference(required, optional))
-    if unknown:
-        raise ValueError(f"{unknown[0]}: unknown key")
+    # With every required key present, only a longer object can hold
+    # another key.
+    if len(obj) > len(required):
+        unknown = set(obj).difference(required, optional)
+        if unknown:
+            raise ValueError(f"{min(unknown)}: unknown key")
     fields = dict(obj)
     for key, kind in (kinds or {}).items():
         if key in fields and not isinstance(fields[key], kind):

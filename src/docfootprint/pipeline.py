@@ -58,6 +58,8 @@ _ITEM_ROW = re.compile(r"^\s*ITEM\s+\d+\s*\|")
 _AMOUNT = r"\s*([0-9][0-9,]*(?:\.[0-9]+)?)\s*"
 _ROW = rf"\s*(ITEM\s+\d+)\s*\|[^|]*\|{_AMOUNT}\|{_AMOUNT}\|{_AMOUNT}\|\s*([A-Z]{{3}})\s*"
 _CURRENCY = re.compile(r"[A-Z]{3}")
+# How many characters of a bad field an error message quotes.
+_QUOTE_LIMIT = 40
 _CENT = Decimal("0.01")
 # Parsed amounts stay below this magnitude after abs() rounds them to 28
 # digits (abs() past the exponent range raises Overflow, also rejected), so
@@ -198,6 +200,14 @@ def count_tokens(text: str) -> int:
     return (len(text) + 3) // 4
 
 
+def _quoted(field: str) -> str:
+    """A field as an error message quotes it: its repr, cut to the first
+    _QUOTE_LIMIT characters and followed by its length when longer."""
+    if len(field) <= _QUOTE_LIMIT:
+        return repr(field)
+    return f"{field[:_QUOTE_LIMIT]!r}... ({len(field)} characters)"
+
+
 def _parse_decimal(raw: str, line_number: int, what: str) -> Decimal:
     cleaned = raw.strip().replace(",", "")
     try:
@@ -205,9 +215,9 @@ def _parse_decimal(raw: str, line_number: int, what: str) -> Decimal:
         if not value.is_finite() or abs(value) >= _MAX_AMOUNT:
             raise InvalidOperation
     except DecimalException:
-        raise InvoiceParseError(line_number, f"bad {what}: {raw.strip()!r}") from None
+        raise InvoiceParseError(line_number, f"bad {what}: {_quoted(raw.strip())}") from None
     if value < 0:
-        raise InvoiceParseError(line_number, f"negative {what}: {raw.strip()!r}")
+        raise InvoiceParseError(line_number, f"negative {what}: {_quoted(raw.strip())}")
     return value
 
 
@@ -220,7 +230,7 @@ def _parse_row(line: str, line_number: int) -> LineItem:
             f"expected 6 pipe-delimited fields, got {len(fields)}")
     item_id, _description, qty_raw, unit_raw, total_raw, currency = fields
     if not _CURRENCY.fullmatch(currency):
-        raise InvoiceParseError(line_number, f"bad currency code: {currency!r}")
+        raise InvoiceParseError(line_number, f"bad currency code: {_quoted(currency)}")
     return LineItem(
         item_id=item_id,
         quantity=_parse_decimal(qty_raw, line_number, "quantity"),

@@ -20,8 +20,6 @@ from .core import (
     _Record,
     _require_number,
     _set_field,
-    interval_scale,
-    water_from_energy,
 )
 
 SECONDS_PER_HOUR = 3600.0
@@ -176,15 +174,34 @@ class DailyFootprint(_Record):
         _set_field(self, "energy_per_doc_kwh", energy_per_doc_kwh)
 
 
-def docs_per_operator_day(w: WorkforceParams) -> Interval:
-    """Documents one operator clears per day, floored to whole documents."""
+def _throughput(w: WorkforceParams) -> tuple[float, float]:
+    """docs_per_operator_day's endpoints as a float pair."""
     productive_seconds = w.productive_hours * SECONDS_PER_HOUR
     try:
         lo = math.floor(productive_seconds / w.per_doc_time_s.hi)
         hi = math.floor(productive_seconds / w.per_doc_time_s.lo)
     except OverflowError:
         raise ValueError("throughput: must be finite, got inf") from None
-    return Interval(float(lo), float(hi))
+    return float(lo), float(hi)
+
+
+def _operators(volume: int, tp_lo: float, tp_hi: float, buffer: float) -> tuple[float, float]:
+    """operators_required's endpoints as a float pair, for a volume and
+    buffer already checked; they come out finite and ordered."""
+    if tp_lo < 1:
+        raise ValueError("throughput.lo must be >= 1 (zero throughput)")
+    try:
+        lo = math.ceil(volume / tp_hi * buffer)
+        hi = math.ceil(volume / tp_lo * buffer)
+    except OverflowError:
+        raise ValueError("operators: must be finite, got inf") from None
+    return float(lo), float(hi)
+
+
+def docs_per_operator_day(w: WorkforceParams) -> Interval:
+    """Documents one operator clears per day, floored to whole documents."""
+    lo, hi = _throughput(w)
+    return Interval(lo, hi)
 
 
 def operators_required(volume: int, throughput: Interval, buffer: float) -> Interval:
@@ -198,14 +215,8 @@ def operators_required(volume: int, throughput: Interval, buffer: float) -> Inte
     buffer = _require_number(buffer, "buffer")
     if buffer < 1.0:
         raise ValueError(f"buffer >= 1 required, got {buffer}")
-    if throughput.lo < 1:
-        raise ValueError("throughput.lo must be >= 1 (zero throughput)")
-    try:
-        lo = math.ceil(volume / throughput.hi * buffer)
-        hi = math.ceil(volume / throughput.lo * buffer)
-    except OverflowError:
-        raise ValueError("operators: must be finite, got inf") from None
-    return Interval(float(lo), float(hi))
+    lo, hi = _operators(volume, throughput.lo, throughput.hi, buffer)
+    return Interval(lo, hi)
 
 
 def cloud_energy_per_doc(stages: list[PipelineStage] | tuple[PipelineStage, ...]) -> float:
@@ -229,26 +240,32 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
     with the operator interval either taken from the override or derived
     from the workforce throughput formula.
     """
-    if s.operators_override is not None:
-        operators = s.operators_override
+    w = s.workforce
+    operators = s.operators_override
+    if operators is None:
+        # Scenario and WorkforceParams checked the volume and buffer when
+        # they were built; operators_required would check them again.
+        tp_lo, tp_hi = _throughput(w)
+        ops_lo, ops_hi = _operators(s.daily_volume, tp_lo, tp_hi, w.buffer)
+        operators = Interval(ops_lo, ops_hi)
     else:
-        operators = operators_required(
-            s.daily_volume, docs_per_operator_day(s.workforce), s.workforce.buffer)
+        ops_lo, ops_hi = operators.lo, operators.hi
     # Every term is non-negative, so a partial sum that overflows leaves
-    # its endpoint infinite and Interval() reports it.
-    laptop = s.workforce.laptop_kwh_per_day
+    # its endpoint infinite and Interval() reports it; CO2 and water are
+    # checked the same way, after energy, as interval_scale and
+    # water_from_energy would check them.
+    laptop = w.laptop_kwh_per_day
     per_doc_kwh = cloud_energy_per_doc(s.stages)
     cloud = per_doc_kwh * s.daily_volume
     overhead = s.overhead_kwh_per_day
-    energy = Interval((operators.lo * laptop + cloud) + overhead,
-                      (operators.hi * laptop + cloud) + overhead)
-    co2_kg = interval_scale(energy, profile.emission_factor_g_per_kwh / 1000.0)
-    water_l = water_from_energy(energy, profile.wue)
+    energy = Interval((ops_lo * laptop + cloud) + overhead, (ops_hi * laptop + cloud) + overhead)
+    factor = profile.emission_factor_g_per_kwh / 1000.0
+    wue = profile.wue
     return DailyFootprint(
         operators=operators,
         energy_kwh=energy,
-        co2_kg=co2_kg,
-        water_l=water_l,
+        co2_kg=Interval(energy.lo * factor, energy.hi * factor),
+        water_l=Interval(energy.lo * wue.lo, energy.hi * wue.hi),
         energy_per_doc_kwh=per_doc_kwh,
     )
 
@@ -267,21 +284,30 @@ class ScenarioComparison(_Record):
         _set_field(self, "water_reduction_pct", water_reduction_pct)
 
 
-def increase_pct(base: Interval, candidate: Interval) -> Interval:
-    """Endpoint-matched percentage increase of one interval over another."""
+def _increase(base: Interval, candidate: Interval) -> tuple[float, float]:
+    """increase_pct's endpoints as a checked, ordered float pair."""
     if base.lo <= 0 or base.hi <= 0:
         raise ValueError("zero baseline")
     # Endpoint-matched ratios; the pair need not arrive ordered, so sort.
     at_hi = (candidate.hi / base.hi - 1.0) * 100.0
     at_lo = (candidate.lo / base.lo - 1.0) * 100.0
-    return Interval(min(at_hi, at_lo), max(at_hi, at_lo))
+    lo, hi = (at_lo, at_hi) if at_lo < at_hi else (at_hi, at_lo)
+    if not -math.inf < lo <= hi < math.inf:
+        Interval(lo, hi)  # raises, naming the endpoint that is not finite
+    return lo, hi
+
+
+def increase_pct(base: Interval, candidate: Interval) -> Interval:
+    """Endpoint-matched percentage increase of one interval over another."""
+    lo, hi = _increase(base, candidate)
+    return Interval(lo, hi)
 
 
 def _reduction_pct(baseline: Interval, candidate: Interval) -> Interval:
     # (1 - r) * 100 is bit-identical to 0.0 - (r - 1) * 100; subtracting
     # from 0.0 rather than negating keeps an equal pair at +0.0.
-    inc = increase_pct(baseline, candidate)
-    return Interval(0.0 - inc.hi, 0.0 - inc.lo)
+    lo, hi = _increase(baseline, candidate)
+    return Interval(0.0 - hi, 0.0 - lo)
 
 
 def compare_scenarios(baseline: DailyFootprint, candidate: DailyFootprint) -> ScenarioComparison:

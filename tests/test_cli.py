@@ -191,6 +191,24 @@ def test_extra_arguments_are_reported_by_their_command(tmp_path, monkeypatch, ca
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, extras", [
+    (["--bogus", "scenario-compare"], "--bogus"),
+    (["--bogus=1", "thinking-delta", "1", "2"], "--bogus=1"),
+    (["--bogus", "scenario-compare", "x"], "--bogus x"),
+])
+def test_options_before_the_command_are_reported_by_the_top_level_parser(
+        tmp_path, monkeypatch, capsys, argv, extras):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: docfootprint [-h]")
+    assert captured.err.endswith(f"\ndocfootprint: error: unrecognized arguments: {extras}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_import_leaves_csv_and_logging_unloaded():
     # A fresh interpreter: the tests running here have imported both.
     src_root = str(Path(docfootprint.__file__).resolve().parents[1])
@@ -262,6 +280,18 @@ def test_out_of_range_invoice_numbers_are_input_errors(tmp_path, capsys, column,
     out = tmp_path / "reports"
     assert main(["usecase-run", "--document", str(doc), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: parser: line 1: bad {column}: {raw!r}\n"
+    assert not out.exists()
+
+
+def test_a_huge_invoice_number_gets_one_short_error_line(tmp_path, capsys):
+    doc = tmp_path / "invoice.txt"
+    doc.write_text(f"ITEM 01 | Widget | {'9' * 1_000_001} | 2.00 | 0.00 | EUR\n")
+    out = tmp_path / "reports"
+    assert main(["usecase-run", "--document", str(doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: parser: line 1: bad quantity: "
+                            f"{'9' * 40!r}... (1000001 characters)\n")
     assert not out.exists()
 
 

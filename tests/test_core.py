@@ -1,7 +1,10 @@
 import ast
+import copy
 import dataclasses
+import hashlib
 import importlib
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -14,8 +17,10 @@ from docfootprint import (
     Energy,
     FootprintProfile,
     Interval,
+    Scenario,
     TokenLedger,
     Water,
+    WorkforceParams,
     apply_pue,
     co2_from_energy,
     compare_scenarios,
@@ -454,3 +459,88 @@ def test_records_generate_no_dataclass_methods():
         params = cls.__dataclass_params__
         assert (params.init, params.repr, params.eq, params.frozen) == (False,) * 4, cls
         assert issubclass(cls, _Record)
+
+
+# Replacement values for the validation digest: wrong types, bools,
+# non-finite floats, integers at and past the edge of the float range
+# (2**1024 - 2**970 - 1 rounds to the largest float, 2**1024 - 2**970
+# overflows), and pair-shaped values of the wrong length or order.
+_EDGE_INTS = (2 ** 1023, 2 ** 1024 - 2 ** 970 - 1, 2 ** 1024 - 2 ** 970)
+_REPLACEMENTS = (
+    "8", "", None, [], {}, True, False, math.nan, math.inf, -math.inf, 0, -1, 1.5, 8,
+    *_EDGE_INTS, *(-n for n in _EDGE_INTS),
+    [1], [1, 2, 3], [2, 1], ["1", 2], [math.nan, 1], [1, math.inf], [True, 2],
+    [0, _EDGE_INTS[2]], [1, _EDGE_INTS[1]], {"name": "s", "energy_wh_per_doc": 1},
+)
+_UNKNOWN_KEYS = ("zeta", "alpha", "mu", "Beta", "_x", "shift")
+
+
+def _json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_paths(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _json_paths(item, path + (index,))
+
+
+def _mutate(rng, value):
+    """One mutation at a random place in a JSON value: a key dropped,
+    unknown keys added in unsorted order, or a value replaced."""
+    path = rng.choice(list(_json_paths(value)))
+    target = value
+    for key in path:
+        target = target[key]
+    roll = rng.random()
+    if isinstance(target, dict) and target and roll < 0.3:
+        del target[rng.choice(list(target))]
+        return value
+    if isinstance(target, dict) and roll < 0.55:
+        for key in rng.sample(_UNKNOWN_KEYS, rng.randint(1, 4)):
+            target[key] = 1
+        return value
+    new = copy.deepcopy(rng.choice(_REPLACEMENTS))
+    if not path:
+        return new
+    parent = value
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = new
+    return value
+
+
+def _validation_outcomes(gen, n=1500):
+    """The repr of each built record or the text of each rejection, over
+    a seeded corpus of generated scenario, workforce, profile and ledger
+    objects with zero to three mutations each."""
+    rng = random.Random("validation-digest:1")
+    profiles = sorted(gen.PROFILES.items())
+    for i in range(n):
+        point = gen.scenario_point(rng, f"p{i}")
+        name, profile = rng.choice(profiles)
+        ledger = {key: rng.randint(0, 10 ** 6) for key in ("document", "prompt", "output",
+                                                           "thinking")}
+        if rng.random() < 0.5:
+            ledger["source"] = rng.choice(("measured", "estimated"))
+        for build, base in ((Scenario.from_json_obj, point),
+                            (WorkforceParams.from_json_obj, point["workforce"]),
+                            (lambda obj: FootprintProfile.from_json_obj(name, obj), profile),
+                            (TokenLedger.from_json_obj, ledger)):
+            obj = copy.deepcopy(base)
+            for _ in range(rng.choice((0, 1, 1, 2, 3))):
+                obj = _mutate(rng, obj)
+            try:
+                yield repr(build(obj))
+            except Exception as exc:
+                yield f"{type(exc).__name__}: {exc}"
+
+
+def test_validation_outcomes_match_the_pinned_digest(perfbench_gen):
+    outcomes = list(_validation_outcomes(perfbench_gen))
+    errors = [text for text in outcomes if text.startswith("ValueError: ")]
+    assert 0.3 < len(errors) / len(outcomes) < 0.8
+    assert all(text.startswith(("ValueError: ", "Scenario(", "WorkforceParams(",
+                                "FootprintProfile(", "TokenLedger(")) for text in outcomes)
+    digest = hashlib.sha256("\n".join(outcomes).encode("utf-8")).hexdigest()
+    assert digest == "e737712bd497d7244891d7ecf0f1f1240ffcf426c4c34b138fb13141c62f2dff"

@@ -104,6 +104,27 @@ def test_bad_number_and_currency_rejected():
         parse_invoice("ITEM 01 | Widget | -5 | 2.00 | 10.00 | EUR")
 
 
+@pytest.mark.parametrize("row, field, message", [
+    ("ITEM 01 | W | {} | 2.00 | 10.00 | EUR", lambda n: "x" * n, "bad quantity"),
+    ("ITEM 01 | W | {} | 2.00 | 10.00 | EUR", lambda n: "-0." + "0" * (n - 4) + "1",
+     "negative quantity"),
+    ("ITEM 01 | W | 5 | 2.00 | {} | EUR", lambda n: "9" * n, "bad total price"),
+    ("ITEM 01 | W | 5 | 2.00 | 10.00 | {}", lambda n: "e" * n, "bad currency code"),
+], ids=["bad-quantity", "negative-quantity", "bad-total", "bad-currency"])
+def test_error_messages_quote_at_most_40_characters_of_a_field(row, field, message):
+    # Fields of up to 40 characters are quoted whole, as before; a longer
+    # one by its first 40 characters and its length.
+    for n in (14, 39, 40):
+        with pytest.raises(InvoiceParseError) as exc:
+            parse_invoice(row.format(field(n)))
+        assert str(exc.value) == f"parser: line 1: {message}: {field(n)!r}"
+    for n in (41, 1_000_001):
+        with pytest.raises(InvoiceParseError) as exc:
+            parse_invoice(row.format(field(n)))
+        assert str(exc.value) == (f"parser: line 1: {message}: {field(n)[:40]!r}..."
+                                  f" ({n} characters)")
+
+
 def test_line_item_validation():
     LineItem("ITEM 1", Decimal(1), Decimal(2), Decimal(2), "EUR")
     for fields, message in [

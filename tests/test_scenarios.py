@@ -4,6 +4,7 @@ import pytest
 
 from docfootprint import (
     DailyFootprint,
+    FootprintProfile,
     Interval,
     PipelineStage,
     Scenario,
@@ -17,7 +18,7 @@ from docfootprint import (
     operators_required,
     water_from_energy,
 )
-from docfootprint.scenarios import increase_pct
+from docfootprint.scenarios import ScenarioComparison, increase_pct
 
 
 def _manual_workforce():
@@ -258,7 +259,7 @@ def _overflow_scenario(volume=100, laptop=0.48, override=None, stages=(), overhe
 # Overflowing inputs and the exact message each one raises. Each energy
 # endpoint is (operators * laptop + cloud) + overhead; the message names
 # lo when the low endpoint overflows, otherwise hi.
-@pytest.mark.parametrize("kwargs, message", [
+_OVERFLOW_CASES = [
     (dict(laptop=1e300, override=Interval(0, 1e10)), "hi: must be finite, got inf"),
     (dict(laptop=1e300, override=Interval(1e10, 1e10)), "lo: must be finite, got inf"),
     (dict(volume=10 ** 4, stages=(1e308,)), "lo: must be finite, got inf"),
@@ -268,20 +269,28 @@ def _overflow_scenario(volume=100, laptop=0.48, override=None, stages=(), overhe
     (dict(laptop=1.7e308, override=Interval(0, 1), overhead=1e308), "hi: must be finite, got inf"),
     (dict(volume=1000, laptop=1.7e308, override=Interval(0, 1), stages=(1e308,), overhead=1e308),
      "lo: must be finite, got inf"),
-], ids=["laptop-override-hi", "laptop-override-lo", "stage-volume", "laptop-and-cloud",
-        "overhead-lo", "overhead-hi", "cloud-hi-before-overhead-lo"])
+]
+
+
+@pytest.mark.parametrize("kwargs, message", _OVERFLOW_CASES, ids=[
+    "laptop-override-hi", "laptop-override-lo", "stage-volume", "laptop-and-cloud",
+    "overhead-lo", "overhead-hi", "cloud-hi-before-overhead-lo"])
 def test_energy_overflow_messages(flash, kwargs, message):
     with pytest.raises(ValueError) as info:
         evaluate_scenario(_overflow_scenario(**kwargs), flash)
     assert str(info.value) == message
 
 
-def test_co2_and_water_overflow_messages(flash):
-    scenario = _overflow_scenario(override=Interval(1, 2), overhead=1e300)
-    for profile, message in [
+def _overflowing_profiles(flash):
+    return [
         (dataclasses.replace(flash, emission_factor_g_per_kwh=1e300), "lo: must be finite, got inf"),
         (dataclasses.replace(flash, wue=Interval(0.3, 1e300)), "hi: must be finite, got inf"),
-    ]:
+    ]
+
+
+def test_co2_and_water_overflow_messages(flash):
+    scenario = _overflow_scenario(override=Interval(1, 2), overhead=1e300)
+    for profile, message in _overflowing_profiles(flash):
         with pytest.raises(ValueError) as info:
             evaluate_scenario(scenario, profile)
         assert str(info.value) == message
@@ -295,3 +304,97 @@ def test_ratio_overflow_on_a_tiny_baseline(flash):
     with pytest.raises(ValueError) as info:
         compare_scenarios(_footprint_from_energy(tiny, flash), _footprint_from_energy(big, flash))
     assert str(info.value) == "hi: must be finite, got inf"
+
+
+def _reference_footprint(s, profile):
+    """evaluate_scenario composed from the public formulas, one per step."""
+    if s.operators_override is not None:
+        operators = s.operators_override
+    else:
+        operators = operators_required(
+            s.daily_volume, docs_per_operator_day(s.workforce), s.workforce.buffer)
+    laptop = s.workforce.laptop_kwh_per_day
+    per_doc_kwh = cloud_energy_per_doc(s.stages)
+    cloud = per_doc_kwh * s.daily_volume
+    overhead = s.overhead_kwh_per_day
+    energy = Interval((operators.lo * laptop + cloud) + overhead,
+                      (operators.hi * laptop + cloud) + overhead)
+    return DailyFootprint(
+        operators=operators,
+        energy_kwh=energy,
+        co2_kg=interval_scale(energy, profile.emission_factor_g_per_kwh / 1000.0),
+        water_l=water_from_energy(energy, profile.wue),
+        energy_per_doc_kwh=per_doc_kwh,
+    )
+
+
+def _reference_increase(base, candidate):
+    """increase_pct spelled out: endpoint-matched ratios, sorted."""
+    if base.lo <= 0 or base.hi <= 0:
+        raise ValueError("zero baseline")
+    at_hi = (candidate.hi / base.hi - 1.0) * 100.0
+    at_lo = (candidate.lo / base.lo - 1.0) * 100.0
+    return Interval(min(at_hi, at_lo), max(at_hi, at_lo))
+
+
+def _reference_reduction(baseline, candidate):
+    inc = increase_pct(baseline, candidate)
+    return Interval(0.0 - inc.hi, 0.0 - inc.lo)
+
+
+def _reference_comparison(baseline, candidate):
+    return ScenarioComparison(
+        energy_reduction_pct=_reference_reduction(baseline.energy_kwh, candidate.energy_kwh),
+        co2_reduction_pct=_reference_reduction(baseline.co2_kg, candidate.co2_kg),
+        water_reduction_pct=_reference_reduction(baseline.water_l, candidate.water_l),
+    )
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_evaluate_and_compare_match_the_composed_formulas(perfbench_gen, flash):
+    gen = perfbench_gen
+    profiles = {name: FootprintProfile.from_json_obj(name, obj)
+                for name, obj in gen.PROFILES.items()}
+    manual = Scenario.from_json_obj(gen.MANUAL_SCENARIO)
+    cases = [(Scenario.from_json_obj(obj), profiles[name])
+             for seed in (1, 2, 3) for name, obj in gen.scenario_grid(seed)]
+    cases += [(_overflow_scenario(**kwargs), flash) for kwargs, _ in _OVERFLOW_CASES]
+    # Zero throughput, throughput and operator overflow, and zero volume.
+    cases += [(Scenario(name="edge", daily_volume=volume, workforce=WorkforceParams(
+        per_doc_time_s=Interval(lo, hi), buffer=buffer)), flash) for volume, lo, hi, buffer in [
+            (100, 30.0, 30000.0, 1.15), (100, 1e-320, 1.0, 1.15), (10 ** 10, 30.0, 120.0, 1e308),
+            (0, 30.0, 120.0, 1.15)]]
+    overflowing = _overflow_scenario(override=Interval(1, 2), overhead=1e300)
+    cases += [(overflowing, profile) for profile, _ in _overflowing_profiles(flash)]
+    footprints = [_footprint_from_energy(Interval(lo, hi), flash) for lo, hi in [
+        (0.0, 0.0), (0.0, 1.0), (1e-300, 1e-300), (1.0, 1e10), (36.3, 194.7), (6.1, 16.2),
+        (1e300, 1e308)]]
+    prev = None
+    for scenario, profile in cases:
+        outcome = _outcome(evaluate_scenario, scenario, profile)
+        assert outcome == _outcome(_reference_footprint, scenario, profile)
+        if outcome.startswith("ValueError"):
+            continue
+        footprint = evaluate_scenario(scenario, profile)
+        footprints.append(footprint)
+        for base in (evaluate_scenario(manual, profile), prev or footprint):
+            assert (_outcome(compare_scenarios, base, footprint)
+                    == _outcome(_reference_comparison, base, footprint))
+            assert (_outcome(incremental_cost, base, footprint)
+                    == _outcome(increase_pct, base.energy_kwh, footprint.energy_kwh)
+                    == _outcome(_reference_increase, base.energy_kwh, footprint.energy_kwh))
+        prev = footprint
+    assert len(footprints) > 3000
+    for base in footprints[:7]:
+        for candidate in footprints[:7] + footprints[-5:]:
+            assert (_outcome(compare_scenarios, base, candidate)
+                    == _outcome(_reference_comparison, base, candidate))
+            assert (_outcome(incremental_cost, base, candidate)
+                    == _outcome(increase_pct, base.energy_kwh, candidate.energy_kwh)
+                    == _outcome(_reference_increase, base.energy_kwh, candidate.energy_kwh))
