@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 WH_PER_KWH = 1000.0
 
@@ -56,6 +57,38 @@ def _require_tokens(value, name: str) -> None:
         raise ValueError(f"{name} must be >= 0")
     if value > _MAX_TOKENS:
         raise ValueError(f"{name} must be <= 10**15")
+
+
+_TENTH = Decimal("0.1")
+
+
+def _tenths(x) -> int:
+    """Decimal(repr(x)) rounded half-up to one decimal, as a whole number of tenths.
+
+    The presentation rounding rule, computed on the float when that
+    gives the same digit. Below 2**20 repr(x) is within half an ulp
+    (5.8e-11) of x, and the tenths remainder r is off by about 1e-15, so
+    the two round alike unless r is within 1e-6 of the tie at 0.5. Ties,
+    large values, non-floats and non-finite values take the Decimal
+    expression, which is also where every error comes from.
+    """
+    if type(x) is float:
+        a = -x if x < 0.0 else x
+        if a < 1048576.0:
+            n = int(a)
+            g = (a - n) * 10.0
+            d = int(g)
+            r = g - d
+            if not 0.499999 <= r <= 0.500001:
+                t = 10 * n + d + (r > 0.5)
+                return -t if x < 0.0 else t
+    value = Decimal(repr(x))
+    try:
+        return int(value.quantize(_TENTH, rounding=ROUND_HALF_UP).scaleb(1))
+    except InvalidOperation:
+        # quantize fails only when the rounded value needs more digits
+        # than the decimal context's 28.
+        raise ValueError(f"value too large to present: {x}") from None
 
 
 # How a record's __init__ stores a field past the frozen __setattr__.

@@ -39,6 +39,7 @@ from .core import (
     _Record,
     _require_tokens,
     _set_field,
+    _tenths,
     co2_from_energy,
     inference_energy,
     water_from_energy,
@@ -366,8 +367,8 @@ def ledger_shares(ledger: TokenLedger) -> dict[str, float]:
     shares = {}
     for name in ("document", "prompt", "output", "thinking"):
         pct = getattr(ledger, name) / total * 100.0
-        shares[name] = float(Decimal(repr(pct)).quantize(
-            Decimal("0.1"), rounding=ROUND_HALF_UP))
+        # t / 10 is the float nearest the rounded decimal, as float() of it is.
+        shares[name] = _tenths(pct) / 10
     return shares
 
 

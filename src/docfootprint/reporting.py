@@ -1,9 +1,11 @@
 """Config ingestion and report emission.
 
-Numeric presentation rounding lives here, with one exception:
-pipeline.ledger_shares rounds the token shares by the same rule, half-up
-to one decimal of the float's repr. Internal values stay at full
-precision until a table or plot series is rendered. Published
+Numeric presentation rounding is half-up to one decimal of the float's
+repr. One kernel, core._tenths, computes it for the percent cells here
+and for the token shares of pipeline.ledger_shares; present() applies
+the rule in Decimal, at any number of decimals, to the scenario cells
+and the thinking-delta figures. Internal values stay at full precision
+until a table or plot series is rendered. Published
 table digits are reproduced by rounding energy to one decimal first
 and deriving the CO2 and water cells from those presented figures in
 decimal arithmetic, exactly as the reference tables were produced.
@@ -20,21 +22,20 @@ from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .core import FootprintProfile, Interval, _json_fields, _Record, _set_field
+from .core import _TENTH, FootprintProfile, _json_fields, _Record, _set_field, _tenths
 from .pipeline import ExtractionResult, TokenLedger, ledger_shares
 from .scenarios import (
     DailyFootprint,
     Scenario,
-    _reduction_pct,
+    _increase,
+    _reduction,
     evaluate_scenario,
-    increase_pct,
 )
 
 TABLES = ("scenario_table", "reduction_table", "token_table")
 FORMATS = ("markdown", "csv", "json")
 
 _ONE = Decimal("1")
-_TENTH = Decimal("0.1")
 # Every line break str.splitlines() splits at.
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
@@ -61,7 +62,8 @@ def present(x: float | Decimal, ndigits: int = 1) -> Decimal:
 
 def present_pct(x: float) -> int:
     """Integer percent presentation: half-up to one decimal, then to whole."""
-    return int(present(x, 1).quantize(_ONE, rounding=ROUND_HALF_UP))
+    t = _tenths(x)
+    return (t + 5) // 10 if t >= 0 else -((5 - t) // 10)
 
 
 @dataclass(init=False, repr=False, eq=False)
@@ -254,8 +256,8 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
     return table, "[\n" + ",\n".join(records) + "\n]\n"
 
 
-def _pct_pair(iv: Interval) -> list[int]:
-    return [present_pct(iv.lo), present_pct(iv.hi)]
+def _pct_pair(lo: float, hi: float) -> list[int]:
+    return [present_pct(lo), present_pct(hi)]
 
 
 def _increase_cell(lo: int, hi: int) -> str:
@@ -273,8 +275,8 @@ def _pct_map(pairs: dict[str, list[int]]) -> str:
 _METRICS = (("energy", "energy_kwh"), ("co2", "co2_kg"), ("water", "water_l"))
 
 
-def _ratios(ratio, pointer: str, label: str, base, candidate) -> dict[str, Interval]:
-    """ratio of each metric's intervals; a failure names the candidate and metric."""
+def _ratios(ratio, pointer: str, label: str, base, candidate) -> dict[str, tuple[float, float]]:
+    """ratio's (lo, hi) for each metric; a failure names the candidate and metric."""
     out = {}
     for metric, field in _METRICS:
         try:
@@ -297,7 +299,7 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     """
     pointers = {name: f"/scenarios/{i}" for i, name in enumerate(footprints)}
     reduction_keys = [n for n in footprints if n != baseline]
-    comparisons = {n: _ratios(_reduction_pct, pointers[n], f"reduction vs {baseline}",
+    comparisons = {n: _ratios(_reduction, pointers[n], f"reduction vs {baseline}",
                               footprints[baseline], footprints[n])
                    for n in reduction_keys}
     steps = {}
@@ -305,7 +307,7 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         key = f"{b}_vs_{a}"
         if key in steps:
             raise ConfigError(f"{pointers[b]}: increase column {key!r} repeats an earlier one")
-        steps[key] = _ratios(increase_pct, pointers[b], f"increase vs {a}",
+        steps[key] = _ratios(_increase, pointers[b], f"increase vs {a}",
                              footprints[a], footprints[b])
     md_header = ["Metric"]
     md_header += [f"{_md(key)} vs {_md(baseline)} (reduction %)" for key in reduction_keys]
@@ -319,8 +321,8 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         seen.add(header)
     rows, csv_rows, md_rows = [], [], []
     for metric, _ in _METRICS:
-        reductions = {n: _pct_pair(c[metric]) for n, c in comparisons.items()}
-        increases = {key: _pct_pair(pcts[metric]) for key, pcts in steps.items()}
+        reductions = {n: _pct_pair(*c[metric]) for n, c in comparisons.items()}
+        increases = {key: _pct_pair(*pcts[metric]) for key, pcts in steps.items()}
         rows.append(f'    {{\n      "metric": "{metric}",\n      "reductions": '
                     f'{_pct_map(reductions)},\n      "increases": {_pct_map(increases)}\n    }}')
         pairs = [*reductions.values(), *increases.values()]

@@ -303,19 +303,20 @@ def increase_pct(base: Interval, candidate: Interval) -> Interval:
     return Interval(lo, hi)
 
 
-def _reduction_pct(baseline: Interval, candidate: Interval) -> Interval:
+def _reduction(baseline: Interval, candidate: Interval) -> tuple[float, float]:
+    """Percentage reduction endpoints: the increase pair, negated and swapped."""
     # (1 - r) * 100 is bit-identical to 0.0 - (r - 1) * 100; subtracting
     # from 0.0 rather than negating keeps an equal pair at +0.0.
     lo, hi = _increase(baseline, candidate)
-    return Interval(0.0 - hi, 0.0 - lo)
+    return 0.0 - hi, 0.0 - lo
 
 
 def compare_scenarios(baseline: DailyFootprint, candidate: DailyFootprint) -> ScenarioComparison:
     """Percentage reductions of a candidate footprint against a baseline."""
     return ScenarioComparison(
-        energy_reduction_pct=_reduction_pct(baseline.energy_kwh, candidate.energy_kwh),
-        co2_reduction_pct=_reduction_pct(baseline.co2_kg, candidate.co2_kg),
-        water_reduction_pct=_reduction_pct(baseline.water_l, candidate.water_l),
+        energy_reduction_pct=Interval(*_reduction(baseline.energy_kwh, candidate.energy_kwh)),
+        co2_reduction_pct=Interval(*_reduction(baseline.co2_kg, candidate.co2_kg)),
+        water_reduction_pct=Interval(*_reduction(baseline.water_l, candidate.water_l)),
     )
 
 

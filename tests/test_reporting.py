@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import math
+import random
 import re
 import shutil
+from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,13 +12,16 @@ from hypothesis import example, given, settings, strategies as st
 from docfootprint import (
     ConfigError,
     Scenario,
+    TokenLedger,
     build_bundle,
     emit_bundle_json,
     emit_plot_data,
     emit_table,
+    ledger_shares,
     load_config,
     run_pipeline,
 )
+from docfootprint.core import _tenths
 from docfootprint.reporting import present, present_pct
 
 
@@ -39,6 +45,132 @@ def test_present_half_up():
     assert present_pct(89.4709810) == 90
     assert present_pct(83.1955922) == 83
     assert present_pct(26.5432098) == 27
+
+
+# The presentation rule spelled out in Decimal arithmetic, as the cells
+# were computed before core._tenths: the shortest repr of the float,
+# half-up to one decimal, and for a percent cell half-up again to a
+# whole number.
+_TENTH, _ONE = Decimal("0.1"), Decimal(1)
+
+
+def _reference_tenth(x) -> Decimal:
+    value = Decimal(repr(x))
+    try:
+        return value.quantize(_TENTH, rounding=ROUND_HALF_UP)
+    except InvalidOperation:
+        raise ValueError(f"value too large to present: {x}") from None
+
+
+def _reference_tenths(x) -> int:
+    return int(_reference_tenth(x).scaleb(1))
+
+
+def _reference_pct(x) -> int:
+    return int(_reference_tenth(x).quantize(_ONE, rounding=ROUND_HALF_UP))
+
+
+def _outcome(f, x):
+    try:
+        return f(x)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+def _assert_rule(x):
+    assert _outcome(_tenths, x) == _outcome(_reference_tenths, x), x
+    assert _outcome(present_pct, x) == _outcome(_reference_pct, x), x
+
+
+def _around(x: float, ulps: int = 3) -> list[float]:
+    """x and its nearest floats, ulps of them on either side."""
+    out = [x]
+    down = up = x
+    for _ in range(ulps):
+        down = math.nextafter(down, -math.inf)
+        up = math.nextafter(up, math.inf)
+        out += [down, up]
+    return out
+
+
+def test_tenths_and_percent_cells_follow_the_decimal_rule_near_every_hundredth():
+    # Every tie of both roundings is some k/100 in [-1000, 1000]: x.x5 for
+    # the tenth, x.50 for the whole number. The rule rounds ties away from
+    # zero and repr(-x) is "-" + repr(x), so -x has the negated cells of x.
+    mismatches = []
+    for k in range(100_001):
+        for x in _around(k / 100):
+            tenth = _reference_tenth(x)
+            tenths = int(tenth.scaleb(1))
+            pct = int(tenth.quantize(_ONE, rounding=ROUND_HALF_UP))
+            if ((_tenths(x), present_pct(x), _tenths(-x), present_pct(-x))
+                    != (tenths, pct, -tenths, -pct)):
+                mismatches.append(x)
+    assert mismatches == []
+
+
+# Tenths remainders at the edge of the tie window (0.5 -+ 1e-6) and just
+# inside and outside it, over integer parts up to the float path's end.
+_WINDOW_EDGES = [n + (d + 0.5 + side * delta) / 10
+                 for n in (0, 1, 83, 2 ** 19, 2 ** 20 - 1) for d in (0, 4, 9)
+                 for side in (-1, 1) for delta in (0.99e-6, 1e-6, 1.01e-6)]
+_EDGES = [
+    # The end of the float path at 2**20, with and without a tie.
+    2.0 ** 20, 2.0 ** 20 - 0.05, 2.0 ** 20 - 0.25, 2.0 ** 20 + 0.05, 2.0 ** 20 + 0.25,
+    1048575.45, 1048575.5, 1048575.55, 1048576.45,
+    # Signed zero, subnormals, the smallest normal and exact ties.
+    0.0, 5e-324, 2.2250738585072014e-308, 0.05, 0.5, 1.45, 83.45, 99.95,
+    # Values too large to present, and values that are not finite.
+    1e26, 9.999999999999999e26, 1e27, 1e28, 3.63e298, 3.705234159779614e+37,
+    1.7976931348623157e308, math.inf, math.nan,
+]
+_INT_EDGES = [0, 1, 15, 2 ** 20, 10 ** 26, 10 ** 27, 10 ** 30]
+
+
+def test_tenths_and_percent_cells_follow_the_decimal_rule_at_the_edges():
+    floats = [x for edge in _WINDOW_EDGES + _EDGES for x in _around(edge)]
+    for x in floats + _INT_EDGES:
+        _assert_rule(x)
+        _assert_rule(-x)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None, database=None)
+@example(x=1.45)
+@example(x=-83.45)
+@given(x=st.floats() | st.floats(-2.0 ** 21, 2.0 ** 21) | st.floats(-1000, 1000, width=32))
+def test_tenths_and_percent_cells_follow_the_decimal_rule_on_any_float(x):
+    _assert_rule(x)
+
+
+_COMPONENTS = ("document", "prompt", "output", "thinking")
+
+
+def _assert_shares(ledger):
+    total = ledger.total()
+    expected = {name: repr(float(Decimal(repr(getattr(ledger, name) / total * 100.0)).quantize(
+                    _TENTH, rounding=ROUND_HALF_UP))) for name in _COMPONENTS}
+    assert {name: repr(share) for name, share in ledger_shares(ledger).items()} == expected, ledger
+
+
+def test_ledger_shares_follow_the_decimal_rule_on_generated_ledgers(perfbench_gen, config,
+                                                                   prompt_text):
+    """The estimated ledgers of the invoice-batch corpus, and each again
+    with a seeded count of thinking tokens."""
+    rng = random.Random(1)
+    profile = config.profiles[config.usecase_profile]
+    for invoice in perfbench_gen.invoice_corpus(1):
+        if invoice.error_line is None:
+            ledger = run_pipeline(invoice.text, prompt_text, profile).ledger
+            _assert_shares(ledger)
+            _assert_shares(dataclasses.replace(ledger, thinking=rng.randrange(4 * ledger.total())))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@example(counts=[29, 371, 0, 0])  # 7.25% exactly; its float is 7.249999999999999
+@given(counts=st.lists(st.integers(0, 10 ** 15) | st.integers(0, 1000), min_size=4, max_size=4)
+       .filter(any))
+def test_ledger_shares_follow_the_decimal_rule_on_any_counts(counts):
+    _assert_shares(TokenLedger(*counts))
 
 
 def test_load_config_bundled(config):
