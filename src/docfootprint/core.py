@@ -7,16 +7,16 @@ out to grams of CO2 and liters of water through a FootprintProfile.
 
 Values are validated where they are built: every record's hand-written
 __init__ checks its fields, and from_json_obj checks the JSON form on
-top. A record is a _Record subclass under @dataclass(init=False,
-repr=False, eq=False): the decorator only registers the fields, for
-dataclasses.fields and replace, and generates no code, and _Record
-makes the instance frozen and gives it field-wise ==, hash and repr.
+top. A record is a _Record subclass: _Record makes the instance frozen
+and gives it field-wise ==, hash and repr over its annotated fields.
+The record is registered as a dataclass, for dataclasses.fields and
+replace, on first use, so importing the package never imports
+dataclasses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass, fields, is_dataclass
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 WH_PER_KWH = 1000.0
@@ -95,26 +95,64 @@ def _tenths(x) -> int:
 _set_field = object.__setattr__
 
 
+class _Registration:
+    """A name @dataclass(init=False, repr=False, eq=False) sets on a record
+    class, set when first looked up.
+
+    The first lookup from a record class or instance applies that
+    decorator to the class, as a decorator line would at import, and
+    the lookup then finds what it set in the class's own dict, as every
+    later lookup does. On _Record itself the name is missing, so
+    _Record is not a dataclass.
+    """
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, instance, owner):
+        if owner is not _Record:
+            if "__dataclass_fields__" not in owner.__dict__:
+                from dataclasses import dataclass
+                dataclass(init=False, repr=False, eq=False)(owner)
+            if self.name in owner.__dict__:
+                return getattr(owner if instance is None else instance, self.name)
+        raise AttributeError(self.name)
+
+
 class _Record:
-    """Frozen, with field-wise ==, hash and repr over __dataclass_fields__.
+    """Frozen, with field-wise ==, hash and repr over the annotated fields.
 
     Each behaves as the method @dataclass(frozen=True) would generate:
     == compares the field tuples of two instances of the same class
     (NotImplemented otherwise), hash is that tuple's hash, and repr is
-    QualName(field=value, ...).
+    QualName(field=value, ...). A subclass keeps its field names, in
+    declaration order, in _names, and is registered as a dataclass on
+    the first lookup of a name the decorator sets (__replace__ from
+    Python 3.13), so dataclasses.fields, replace and is_dataclass work
+    without dataclasses being imported before they are called.
     """
 
+    __dataclass_fields__ = _Registration()
+    __dataclass_params__ = _Registration()
+    __match_args__ = _Registration()
+    __replace__ = _Registration()
+
+    def __init_subclass__(cls):
+        cls._names = tuple(cls.__annotations__)
+
     def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
         # Not self.__dict__: reading it gives the instance a dict object
         # of its own (88 bytes for an Interval on CPython 3.11), kept for
         # the instance's lifetime.
-        return tuple([getattr(self, name) for name in self.__dataclass_fields__])
+        return tuple([getattr(self, name) for name in self._names])
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -125,11 +163,10 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__dataclass_fields__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._names)
         return f"{self.__class__.__qualname__}({fields})"
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Interval(_Record):
     """Closed numeric range [lo, hi]. A point value has lo == hi."""
 
@@ -201,8 +238,8 @@ def _json_obj(value):
         return [value.lo, value.hi]
     if isinstance(value, tuple):
         return [_json_obj(item) for item in value]
-    if is_dataclass(value):
-        return {f.name: _json_obj(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, _Record):
+        return {name: _json_obj(getattr(value, name)) for name in value._names}
     return value
 
 
@@ -232,7 +269,6 @@ def _require_rate(rate) -> float:
     return rate
 
 
-@dataclass(init=False, repr=False, eq=False)
 class FootprintProfile(_Record):
     """Physical conversion constants for one modeled deployment.
 
@@ -294,7 +330,6 @@ class FootprintProfile(_Record):
         }
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Energy(_Record):
     """An amount of energy in kilowatt-hours."""
 
@@ -306,7 +341,6 @@ class Energy(_Record):
         _set_field(self, "kwh", kwh)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Carbon(_Record):
     """A mass of CO2 in grams."""
 
@@ -318,7 +352,6 @@ class Carbon(_Record):
         _set_field(self, "grams", grams)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Water(_Record):
     """A volume of water in liters, as a range."""
 
@@ -391,7 +424,6 @@ def prompt_co2(prompts: int, co2_per_prompt_g: float) -> float:
     return prompts * per_prompt
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ThinkingDelta(_Record):
     """Marginal cost of extended reasoning tokens on top of a base run.
 

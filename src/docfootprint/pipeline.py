@@ -14,7 +14,6 @@ offline behavior to model; its cost enters through the ledger.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -81,7 +80,6 @@ class InvoiceParseError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TokenLedger(_Record):
     """Itemized token counts for one pipeline execution."""
 
@@ -119,7 +117,6 @@ class TokenLedger(_Record):
     to_json_obj = _json_obj
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LineItem(_Record):
     """One extracted invoice row; amounts are exact decimals."""
 
@@ -147,7 +144,6 @@ class LineItem(_Record):
         _set_field(self, "currency", currency)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class VerificationRecord(_Record):
     """One item's arithmetic check: ok within a cent, and the signed delta."""
 
@@ -161,7 +157,6 @@ class VerificationRecord(_Record):
         _set_field(self, "delta", delta)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Footprint(_Record):
     """Energy, CO2 and water of one pipeline run."""
 
@@ -175,7 +170,6 @@ class Footprint(_Record):
         _set_field(self, "water", water)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ExtractionResult(_Record):
     """One pipeline run: its items, ledger, footprint and verification records."""
 

@@ -14,12 +14,9 @@ no reconciliation between them is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .core import _Record, _set_field
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Deviation(_Record):
     """A published figure this tool does not reproduce, and why."""
 

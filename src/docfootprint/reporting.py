@@ -17,7 +17,6 @@ import hashlib
 import io
 import json
 import re
-from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -66,7 +65,6 @@ def present_pct(x: float) -> int:
     return (t + 5) // 10 if t >= 0 else -((5 - t) // 10)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Config(_Record):
     """A validated config: profiles, their bindings, scenarios and content hash."""
 

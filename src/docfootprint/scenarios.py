@@ -9,7 +9,6 @@ reduction percentages or incremental cost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from decimal import Decimal
 
 from .core import (
@@ -25,7 +24,6 @@ from .core import (
 SECONDS_PER_HOUR = 3600.0
 
 
-@dataclass(init=False, repr=False, eq=False)
 class WorkforceParams(_Record):
     """Operator workday model: an 8-hour shift with 7 productive hours,
     a capacity buffer on top of raw demand, and a flat laptop draw per
@@ -69,7 +67,6 @@ class WorkforceParams(_Record):
     to_json_obj = _json_obj
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PipelineStage(_Record):
     """One per-document processing stage and its facility-side energy."""
 
@@ -86,7 +83,6 @@ class PipelineStage(_Record):
         _set_field(self, "energy_wh_per_doc", energy_wh_per_doc)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class Scenario(_Record):
     """A named workload configuration evaluating to a DailyFootprint."""
 
@@ -146,7 +142,6 @@ class Scenario(_Record):
     to_json_obj = _json_obj
 
 
-@dataclass(init=False, repr=False, eq=False)
 class DailyFootprint(_Record):
     """A scenario's daily operators, energy, CO2 and water, and its energy per document."""
 
@@ -270,7 +265,6 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
     )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ScenarioComparison(_Record):
     """Percent reductions of a candidate footprint against a baseline, per metric."""
 

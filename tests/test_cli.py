@@ -209,12 +209,12 @@ def test_options_before_the_command_are_reported_by_the_top_level_parser(
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_leaves_csv_and_logging_unloaded():
-    # A fresh interpreter: the tests running here have imported both.
+def test_cli_import_leaves_csv_logging_dataclasses_and_inspect_unloaded():
+    # A fresh interpreter: the tests running here have imported all four.
     src_root = str(Path(docfootprint.__file__).resolve().parents[1])
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, docfootprint.cli; "
-         "print(sorted({'csv', 'logging'} & set(sys.modules)))"],
+         "print(sorted({'csv', 'logging', 'dataclasses', 'inspect'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src_root},
         check=True)
     assert proc.stdout == "[]\n"

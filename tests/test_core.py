@@ -4,7 +4,9 @@ import dataclasses
 import hashlib
 import importlib
 import math
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -337,22 +339,22 @@ def test_conversions_commute_with_scaling(flash):
         assert scaled_then == pytest.approx(then_scaled, rel=1e-15)
 
 
-def _is_dataclass_decorator(node) -> bool:
-    target = node.func if isinstance(node, ast.Call) else node
-    return isinstance(target, ast.Name) and target.id == "dataclass"
+def _is_record_base(node) -> bool:
+    return isinstance(node, ast.Name) and node.id == "_Record"
 
 
 def test_every_dataclass_has_a_written_docstring():
-    # Without one, @dataclass builds __doc__ from inspect.signature on every import.
+    # Without one, @dataclass builds __doc__ from inspect.signature when
+    # the record is registered.
     package = Path(docfootprint.__file__).parent
     found = {}
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef) and any(map(_is_dataclass_decorator,
-                                                          node.decorator_list)):
+            if isinstance(node, ast.ClassDef) and any(map(_is_record_base, node.bases)):
                 found[node.name] = ast.get_docstring(node)
     assert {"Interval", "LineItem", "Config", "DailyFootprint", "Deviation"} <= set(found)
     assert [name for name, doc in found.items() if not doc] == []
+    assert set(found) == {cls.__name__ for cls in RECORD_CLASSES}
 
 
 def _record_classes():
@@ -459,6 +461,15 @@ def test_records_generate_no_dataclass_methods():
         params = cls.__dataclass_params__
         assert (params.init, params.repr, params.eq, params.frozen) == (False,) * 4, cls
         assert issubclass(cls, _Record)
+
+
+def test_records_register_as_dataclasses_on_first_use():
+    # A fresh interpreter, where no record has been registered yet.
+    script = Path(__file__).with_name("record_registration.py")
+    src_root = str(Path(docfootprint.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src_root})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "ok\n", "")
 
 
 # Replacement values for the validation digest: wrong types, bools,
