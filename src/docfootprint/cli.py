@@ -22,6 +22,7 @@ from .pipeline import (
     COMPLEXITY_NORMALIZATION_FACTOR,
     THINKING_NORMALIZATION_FACTOR,
     TokenLedger,
+    _has_item_rows,
     count_tokens,
     normalize_energy,
     ledger_shares,
@@ -131,13 +132,15 @@ def _cmd_scenario_compare(args) -> int:
 
 
 def _run_usecase(args):
-    # Only the pipeline logs, so only its subcommands import logging.
-    import logging
-
-    logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     config = load_config(args.config)
     profile = _profile_from(config, args.profile, config.usecase_profile)
     document = _read_text(Path(args.document))
+    if not _has_item_rows(document):
+        # The pipeline logs only for a document with no item rows, so
+        # only then is logging imported and its stderr handler set up.
+        import logging
+
+        logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
     prompt = _read_text(Path(args.prompt))
     ledger = _resolve_ledger(args.ledger)
     result = run_pipeline(document, prompt, profile, ledger_override=ledger)

@@ -235,6 +235,15 @@ def _parse_row(line: str, line_number: int) -> LineItem:
     )
 
 
+def _has_item_rows(document: str) -> bool:
+    """Whether some line of document is an item row.
+
+    parse_invoice turns each such line into an item or raises, so it
+    returns [] and logs its warning exactly when this is False.
+    """
+    return any(map(_ITEM_ROW.match, document.splitlines()))
+
+
 def parse_invoice(document: str) -> list[LineItem]:
     """Extract line items from a pipe-delimited invoice document.
 

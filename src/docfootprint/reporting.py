@@ -9,11 +9,15 @@ until a table or plot series is rendered. Published
 table digits are reproduced by rounding energy to one decimal first
 and deriving the CO2 and water cells from those presented figures in
 decimal arithmetic, exactly as the reference tables were produced.
+
+The config hash is the SHA-256 of the canonical JSON text of a config
+and its scenario files. load_config keeps that text, and the hash is
+computed the first time Config.config_hash is read, which only bundle
+JSON does; so commands that print no bundle never import hashlib.
 """
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 import re
@@ -66,7 +70,12 @@ def present_pct(x: float) -> int:
 
 
 class Config(_Record):
-    """A validated config: profiles, their bindings, scenarios and content hash."""
+    """A validated config: profiles, their bindings, scenarios and content hash.
+
+    A Config from load_config holds the canonical JSON text its hash is
+    taken over, as UTF-8 bytes, and computes config_hash from it on
+    first read, dropping the text.
+    """
 
     profiles: dict[str, FootprintProfile]
     scenario_profile: str
@@ -80,6 +89,27 @@ class Config(_Record):
         _set_field(self, "usecase_profile", usecase_profile)
         _set_field(self, "scenarios", scenarios)
         _set_field(self, "config_hash", config_hash)
+
+    @classmethod
+    def _hashed_on_read(cls, canonical: bytes, *fields) -> Config:
+        """A Config of the fields before config_hash, hashing canonical on first read."""
+        config = cls.__new__(cls)
+        for name, value in zip(cls._names, fields):
+            _set_field(config, name, value)
+        _set_field(config, "_canonical", canonical)
+        return config
+
+    def __getattr__(self, name):
+        # Normal lookup fails for config_hash only on a Config from
+        # _hashed_on_read whose hash has not been read yet.
+        if name != "config_hash":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        import hashlib
+
+        digest = hashlib.sha256(self._canonical).hexdigest()
+        _set_field(self, "config_hash", digest)
+        object.__delattr__(self, "_canonical")
+        return digest
 
 
 def _load_json(path: Path, pointer: str) -> object:
@@ -142,28 +172,22 @@ def load_config(path: str | Path) -> Config:
         seen.add(scenario.name)
         scenarios.append(scenario)
 
-    digest = hashlib.sha256(json.dumps(
-        {"config": raw, "scenario_files": scenario_raws},
-        sort_keys=True, separators=(",", ":")).encode("utf-8")).hexdigest()
-
-    return Config(
-        profiles=profiles,
-        scenario_profile=raw["scenario_profile"],
-        usecase_profile=raw["usecase_profile"],
-        scenarios=tuple(scenarios),
-        config_hash=digest,
-    )
+    canonical = json.dumps({"config": raw, "scenario_files": scenario_raws},
+                           sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return Config._hashed_on_read(canonical, profiles, raw["scenario_profile"],
+                                  raw["usecase_profile"], tuple(scenarios))
 
 
 def build_bundle(config: Config, baseline: str,
                  usecase: ExtractionResult | None = None) -> dict:
     """Evaluate every scenario and render each presented table once.
 
-    The bundle maps "metadata" to the profile name and config hash,
-    each table name to its final text in every format ({"markdown",
-    "csv", "json"} to str), and "plot_data" to the plot series' JSON
-    text. The token table is present only when a usecase result is
-    given. The emitters only look texts up.
+    The bundle maps "config" to the config, whose scenario profile and
+    hash emit_bundle_json writes as metadata, each table name to its
+    final text in every format ({"markdown", "csv", "json"} to str),
+    and "plot_data" to the plot series' JSON text. The token table is
+    present only when a usecase result is given. The emitters only look
+    texts up.
     """
     names = [s.name for s in config.scenarios]
     if baseline not in names:
@@ -177,8 +201,7 @@ def build_bundle(config: Config, baseline: str,
             raise ConfigError(f"/scenarios/{i}: {exc}") from None
     # Reductions first, so a zero baseline is reported before any
     # presentation step runs.
-    bundle = {"metadata": {"profile": config.scenario_profile,
-                           "config_hash": config.config_hash},
+    bundle = {"config": config,
               "reduction_table": _reduction_table(footprints, baseline)}
     bundle["scenario_table"], bundle["plot_data"] = _scenario_table(footprints, profile)
     if usecase is not None:
@@ -391,11 +414,15 @@ def emit_plot_data(bundle: dict) -> str:
 def emit_bundle_json(bundle: dict) -> str:
     """Machine-readable bundle: metadata plus every table it carries.
 
-    The members' texts are spliced in at one more level of indent. The
-    result is the bytes json.dumps(indent=2) gives for the whole
-    object, because a JSON text holds newlines only between tokens.
+    The metadata is the config's scenario profile and hash; reading the
+    hash here is what computes it. The members' texts are spliced in at
+    one more level of indent. The result is the bytes json.dumps(indent=2)
+    gives for the whole object, because a JSON text holds newlines only
+    between tokens.
     """
-    members = [("metadata", _json_text(bundle["metadata"])),
+    config = bundle["config"]
+    metadata = {"profile": config.scenario_profile, "config_hash": config.config_hash}
+    members = [("metadata", _json_text(metadata)),
                ("scenario_table", bundle["scenario_table"]["json"]),
                ("reduction_table", bundle["reduction_table"]["json"]),
                ("plot_data", bundle["plot_data"])]

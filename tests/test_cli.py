@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import docfootprint
-from docfootprint.cli import DEFAULT_CONFIG, main
+from docfootprint.cli import DEFAULT_CONFIG, FIXTURES_DIR, main
 
 
 def _read_tree(root):
@@ -210,14 +210,34 @@ def test_options_before_the_command_are_reported_by_the_top_level_parser(
 
 
 def test_cli_import_leaves_csv_logging_dataclasses_and_inspect_unloaded():
-    # A fresh interpreter: the tests running here have imported all four.
+    # A fresh interpreter: the tests running here have imported all five.
     src_root = str(Path(docfootprint.__file__).resolve().parents[1])
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, docfootprint.cli; "
-         "print(sorted({'csv', 'logging', 'dataclasses', 'inspect'} & set(sys.modules)))"],
+        [sys.executable, "-c", "import sys, docfootprint.cli; print(sorted("
+         "{'csv', 'logging', 'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src_root},
         check=True)
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["thinking-delta", "18000", "10000"],
+    ["tokens-count", str(FIXTURES_DIR / "proforma_invoice.txt")],
+    ["usecase-run", "--ledger", "bundled", "--out", "reports"],
+    ["scenario-compare", "--out", "reports"],
+], ids=lambda argv: argv[0])
+def test_commands_that_print_no_warning_or_hash_leave_logging_and_hashlib_unloaded(
+        argv, tmp_path):
+    # A fresh interpreter, as for the import above.
+    src_root = str(Path(docfootprint.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from docfootprint.cli import main; "
+         "code = main(sys.argv[1:]); "
+         "print(code, sorted({'logging', 'hashlib'} & set(sys.modules)))", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src_root},
+        cwd=tmp_path, check=True)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 _ZERO_LEDGER = {"document": 0, "prompt": 0, "output": 0, "thinking": 0}

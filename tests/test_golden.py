@@ -1,8 +1,11 @@
 """Byte-for-byte pins of every CLI output.
 
-Each case runs `cli.main` in-process from an empty working directory
-with `--out reports`, then compares stdout and every written file with
-the copies under tests/golden/<case>/. The `--help` text of the top
+Each case runs `cli.main` in-process from a working directory holding
+only the bundled fixtures and the input documents under
+tests/golden/inputs/, with `--out reports`. It then compares stdout,
+every written file, stderr (stderr.txt, present only when not empty)
+and the exit code (exit_code.txt, present only when not 0) with the
+copies under tests/golden/<case>/. The `--help` text of the top
 level and of each subcommand, wrapped at 80 columns, is pinned under
 tests/golden/help/. The golden files are the reference outputs; a
 refactor must leave all of them unchanged.
@@ -16,6 +19,7 @@ import pytest
 from docfootprint.cli import FIXTURES_DIR, main
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+INPUTS_DIR = GOLDEN_DIR / "inputs"
 
 _LEDGERS = {"bundled": ["--ledger", "bundled"], "estimated": []}
 
@@ -29,20 +33,30 @@ CASES = {
        for ledger, flags in _LEDGERS.items()},
     "thinking-delta-18000-10000": ["thinking-delta", "18000", "10000"],
     "thinking-delta-0-5": ["thinking-delta", "0", "5"],
+    "thinking-delta-0-0": ["thinking-delta", "0", "0"],
+    "usecase-run-malformed": ["usecase-run", "--document", "malformed_invoice.txt",
+                              "--out", "reports"],
+    "usecase-run-wrong-total": ["usecase-run", "--document", "wrong_total_invoice.txt",
+                                "--out", "reports"],
     "tokens-count": ["tokens-count", "proforma_invoice.txt", "extraction_prompt.txt"],
 }
 
 
 def run_case(argv, workdir: Path, monkeypatch, capsys) -> dict[str, bytes]:
-    """Run one CLI case in workdir; return stdout and written files by relative path."""
+    """Run one CLI case in workdir; return its outputs by golden file name."""
     for name in ("proforma_invoice.txt", "extraction_prompt.txt"):
         shutil.copyfile(FIXTURES_DIR / name, workdir / name)
+    for path in INPUTS_DIR.iterdir():
+        shutil.copyfile(path, workdir / path.name)
     monkeypatch.chdir(workdir)
     capsys.readouterr()
-    assert main(argv) == 0
+    code = main(argv)
     captured = capsys.readouterr()
-    assert captured.err == ""
     outputs = {"stdout.txt": captured.out.encode("utf-8")}
+    if captured.err:
+        outputs["stderr.txt"] = captured.err.encode("utf-8")
+    if code != 0:
+        outputs["exit_code.txt"] = f"{code}\n".encode("utf-8")
     reports = workdir / "reports"
     if reports.is_dir():
         for path in sorted(reports.rglob("*")):

@@ -19,7 +19,7 @@ from docfootprint import (
     run_pipeline,
     verify_items,
 )
-from docfootprint.pipeline import _ITEM_ROW, _ROW, _parse_row
+from docfootprint.pipeline import _ITEM_ROW, _ROW, _has_item_rows, _parse_row
 
 SPEC_ROW = "ITEM 03 | Integration service | 40 | 85.00 | 3400.00 | EUR"
 
@@ -85,6 +85,44 @@ def test_parse_skips_prose(invoice_text, caplog):
                            if not line.startswith("ITEM "))
     with caplog.at_level(logging.WARNING):
         assert parse_invoice(prose_only) == []
+
+
+def _returns_empty(document: str) -> bool:
+    """Whether parse_invoice returns [] without raising: when it warns."""
+    try:
+        return parse_invoice(document) == []
+    except InvoiceParseError:
+        return False
+
+
+# Every line break below is one str.splitlines() splits at.
+_BREAKS = ("\r\n", "\x0b", "\x1c", "\u2028")
+
+
+def test_warn_condition_is_an_empty_parse(invoice_text, perfbench_gen):
+    """_has_item_rows, which decides when the CLI sets up logging, is
+    False exactly when parse_invoice returns [] without raising."""
+    with pytest.raises(InvoiceParseError):
+        parse_invoice("ITEM 7 | bad fields")
+    documents = [invoice_text, "", "ITEM 7 | bad fields",
+                 "ITEM 7 ships separately.\nITEMS marked * are made to order.\n"]
+    for br in _BREAKS:
+        documents += [f"Notes{br}{SPEC_ROW}{br}", f"Notes{br}ITEM 7 | bad{br}",
+                      f"Notes{br}ITEM 7 ships separately{br}"]
+    documents += [invoice.text for invoice in perfbench_gen.invoice_corpus(1)]
+    empty = [_returns_empty(doc) for doc in documents]
+    assert empty == [not _has_item_rows(doc) for doc in documents]
+    assert True in empty and False in empty
+
+
+_PIECES = ("ITEM", "ITEM 7", " ", "\t", "7", "|", "x", "\n", "\r", *_BREAKS, "\x85",
+           SPEC_ROW)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.text() | st.lists(st.sampled_from(_PIECES), max_size=12).map("".join))
+def test_warn_condition_is_an_empty_parse_on_generated_text(document):
+    assert _returns_empty(document) == (not _has_item_rows(document))
 
 
 def test_malformed_row_reports_line_number():
