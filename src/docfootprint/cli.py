@@ -55,6 +55,10 @@ def _write(out_dir: Path, filename: str, text: str) -> None:
 
 
 def _read_text(path: Path) -> str:
+    # Only a regular file: a directory or a device such as /dev/zero is
+    # no text input, and reading the device would never end.
+    if not path.is_file():
+        raise ValueError(f"file not found: {path}")
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -207,10 +211,7 @@ def _cmd_tokens_count(args) -> int:
     # Count every file before printing any, so a bad file leaves stdout empty.
     lines = []
     for name in args.files:
-        path = Path(name)
-        if not path.is_file():
-            raise ValueError(f"file not found: {path}")
-        lines.append(f"{count_tokens(_read_text(path))}\t{name}")
+        lines.append(f"{count_tokens(_read_text(Path(name)))}\t{name}")
     print("\n".join(lines))
     return 0
 

@@ -7,7 +7,8 @@ out to grams of CO2 and liters of water through a FootprintProfile.
 
 Values are validated where they are built: every record's hand-written
 __init__ checks its fields, and from_json_obj checks the JSON form on
-top. A record is a _Record subclass: _Record makes the instance frozen
+top. The invoice parser alone skips __init__ (pipeline._line_item), for
+fields its row grammar has already proved. A record is a _Record subclass: _Record makes the instance frozen
 and gives it field-wise ==, hash and repr over its annotated fields.
 The record is registered as a dataclass, for dataclasses.fields and
 replace, on first use, so importing the package never imports
@@ -84,7 +85,7 @@ def _tenths(x) -> int:
                 return -t if x < 0.0 else t
     value = Decimal(repr(x))
     try:
-        return int(value.quantize(_TENTH, rounding=ROUND_HALF_UP).scaleb(1))
+        return int(value.quantize(_TENTH, ROUND_HALF_UP).scaleb(1))
     except InvalidOperation:
         # quantize fails only when the rounded value needs more digits
         # than the decimal context's 28.

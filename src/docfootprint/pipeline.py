@@ -216,6 +216,26 @@ def _parse_decimal(raw: str, line_number: int, what: str) -> Decimal:
     return value
 
 
+def _line_item(item_id, quantity, unit_price, total_price, currency) -> LineItem:
+    """A LineItem of fields the parser has already proved, built without
+    re-running LineItem's checks.
+
+    Both parser paths, the row pattern in parse_invoice and _parse_row,
+    call it only with fields that pass those checks:
+    - item_id starts with ITEM;
+    - every amount is a finite Decimal in [0, 10**13) after abs() rounding;
+    - currency fully matches [A-Z]{3}.
+    Every other caller builds items with LineItem(...).
+    """
+    item = object.__new__(LineItem)
+    _set_field(item, "item_id", item_id)
+    _set_field(item, "quantity", quantity)
+    _set_field(item, "unit_price", unit_price)
+    _set_field(item, "total_price", total_price)
+    _set_field(item, "currency", currency)
+    return item
+
+
 def _parse_row(line: str, line_number: int) -> LineItem:
     # Stripping each field also strips the line's two ends.
     fields = [f.strip() for f in line.split("|")]
@@ -226,7 +246,7 @@ def _parse_row(line: str, line_number: int) -> LineItem:
     item_id, _description, qty_raw, unit_raw, total_raw, currency = fields
     if not _CURRENCY.fullmatch(currency):
         raise InvoiceParseError(line_number, f"bad currency code: {_quoted(currency)}")
-    return LineItem(
+    return _line_item(
         item_id=item_id,
         quantity=_parse_decimal(qty_raw, line_number, "quantity"),
         unit_price=_parse_decimal(unit_raw, line_number, "unit price"),
@@ -271,7 +291,7 @@ def parse_invoice(document: str) -> list[LineItem]:
             except DecimalException:
                 in_range = False
             if in_range:
-                items.append(LineItem(item_id, quantity, unit_price, total_price, currency))
+                items.append(_line_item(item_id, quantity, unit_price, total_price, currency))
                 continue
         elif not _ITEM_ROW.match(line):
             continue
@@ -292,7 +312,7 @@ def verify_items(items: list[LineItem] | tuple[LineItem, ...]) -> list[Verificat
     exceptions.
     """
     return [VerificationRecord(item.item_id, abs(delta) <= _CENT,
-                               delta.quantize(_CENT, rounding=ROUND_HALF_UP))
+                               delta.quantize(_CENT, ROUND_HALF_UP))
             for item in items
             for delta in [item.total_price - item.quantity * item.unit_price]]
 
@@ -313,8 +333,8 @@ def render_output_json(items: list[LineItem] | tuple[LineItem, ...]) -> str:
         ' "total_price": %s, "currency": %s}' % (
             _quote(item.item_id),
             int(q) if q == q.to_integral_value() else q.normalize(_EXACT),
-            item.unit_price.quantize(_CENT, rounding=ROUND_HALF_UP),
-            item.total_price.quantize(_CENT, rounding=ROUND_HALF_UP),
+            item.unit_price.quantize(_CENT, ROUND_HALF_UP),
+            item.total_price.quantize(_CENT, ROUND_HALF_UP),
             _quote(item.currency),
         )
         for item in items

@@ -56,7 +56,7 @@ def present(x: float | Decimal, ndigits: int = 1) -> Decimal:
     quantum = _TENTH if ndigits == 1 else _ONE.scaleb(-ndigits)
     value = x if isinstance(x, Decimal) else _dec(x)
     try:
-        return value.quantize(quantum, rounding=ROUND_HALF_UP)
+        return value.quantize(quantum, ROUND_HALF_UP)
     except InvalidOperation:
         # quantize fails only when the rounded value needs more digits
         # than the decimal context's 28. A float formats as its repr.

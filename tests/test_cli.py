@@ -497,13 +497,30 @@ def _missing_text(tmp_path, data_dir):
     return ["tokens-count", str(missing)], f"error: file not found: {missing}"
 
 
+def _not_a_file(command, option, make_dir):
+    """command reading a missing path, or a directory, as its option's text."""
+    def setup(tmp_path, data_dir):
+        path = tmp_path / "input"
+        if make_dir:
+            path.mkdir()
+        return [command, option, str(path)], f"error: file not found: {path}"
+    return setup
+
+
+_NOT_A_FILE = {f"{command}{option}-{kind}": _not_a_file(command, option, kind == "dir")
+               for command in ("usecase-run", "report-emit")
+               for option in ("--document", "--prompt")
+               for kind in ("missing", "dir")}
+
+
 @pytest.mark.parametrize("setup", [
     _unreadable_config, _long_int_config, _unreadable_scenario,
     _unreadable_text("--document"), _unreadable_text("--prompt"), _unreadable_text(None),
     _readable_then(_unreadable_text(None)), _readable_then(_missing_text),
+    *_NOT_A_FILE.values(),
 ], ids=["config-not-utf8", "config-long-int", "scenario-not-utf8",
         "document-not-utf8", "prompt-not-utf8", "tokens-count-not-utf8",
-        "tokens-count-good-then-not-utf8", "tokens-count-good-then-missing"])
+        "tokens-count-good-then-not-utf8", "tokens-count-good-then-missing", *_NOT_A_FILE])
 def test_unreadable_inputs_name_their_source(tmp_path, data_dir, capsys, setup):
     argv, prefix = setup(tmp_path, data_dir)
     out = tmp_path / "out"
@@ -513,6 +530,30 @@ def test_unreadable_inputs_name_their_source(tmp_path, data_dir, capsys, setup):
     captured = capsys.readouterr()
     assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
     assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+@pytest.mark.parametrize("option", ["--document", "--prompt"])
+def test_an_endless_device_as_text_input_is_an_input_error(tmp_path, option):
+    """Reading /dev/zero never ends; under a 256 MB address-space cap it
+    ends in a MemoryError, so the run must refuse it before reading."""
+    resource = pytest.importorskip("resource")
+    cap = 256 << 20
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    child = ("import resource, sys\n"
+             f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
+             "from docfootprint.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    out = tmp_path / "out"
+    src_root = str(Path(docfootprint.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", child, "usecase-run", option, "/dev/zero", "--out", str(out)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src_root},
+        timeout=60, check=False)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: file not found: /dev/zero\n"
     assert not out.exists()
 
 

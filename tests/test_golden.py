@@ -1,7 +1,7 @@
 """Byte-for-byte pins of every CLI output.
 
 Each case runs `cli.main` in-process from a working directory holding
-only the bundled fixtures and the input documents under
+only the bundled fixtures and the input documents and configs under
 tests/golden/inputs/, with `--out reports`. It then compares stdout,
 every written file, stderr (stderr.txt, present only when not empty)
 and the exit code (exit_code.txt, present only when not 0) with the
@@ -25,6 +25,12 @@ _LEDGERS = {"bundled": ["--ledger", "bundled"], "estimated": []}
 
 CASES = {
     **{f"scenario-compare-{fmt}": ["scenario-compare", "--out", "reports", "--format", fmt]
+       for fmt in ("markdown", "csv", "json")},
+    # Scenarios without operators_override: the operator counts come
+    # from the throughput formula, not from the config.
+    **{f"scenario-compare-config-{fmt}": ["scenario-compare", "--config",
+                                          "no_override_config.json", "--out", "reports",
+                                          "--format", fmt]
        for fmt in ("markdown", "csv", "json")},
     **{f"report-emit-{fmt}-{ledger}": ["report-emit", *flags, "--out", "reports",
                                        "--format", fmt]

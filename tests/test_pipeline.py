@@ -241,7 +241,41 @@ def test_pattern_rows_parse_as_field_by_field(line_and_plain):
             parse_invoice(line)
         assert str(got.value) == str(exc)
     else:
-        assert repr(parse_invoice(line)) == expected
+        items = parse_invoice(line)
+        assert repr(items) == expected
+        assert [_checked(item) for item in items] == items
+
+
+def _checked(item):
+    """The item LineItem(...) builds, with every check, from item's fields."""
+    return LineItem(item.item_id, item.quantity, item.unit_price, item.total_price,
+                    item.currency)
+
+
+def test_parsed_items_pass_line_item_checks(invoice_text, perfbench_gen):
+    """parse_invoice builds its items without LineItem's checks; each is
+    still the item that LineItem(...) builds from its fields."""
+    documents = [invoice_text] + [invoice.text for invoice in perfbench_gen.invoice_corpus(1)
+                                  if invoice.error_kind is None]
+    items = [item for doc in documents for item in parse_invoice(doc)]
+    assert len(items) > len(documents)
+    assert [_checked(item) for item in items] == items
+
+
+def test_a_parsed_item_behaves_as_a_checked_one():
+    # The first row takes the row pattern, the second _parse_row.
+    items = parse_invoice(f"{SPEC_ROW}\nITEM 04 | Widget | 1e3 | 2.00 | 2000.00 | EUR")
+    assert len(items) == 2
+    for item in items:
+        checked = _checked(item)
+        assert type(item) is LineItem
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            item.quantity = Decimal(1)
+        assert item == checked and checked == item
+        assert hash(item) == hash(checked)
+        assert repr(item) == repr(checked)
+        with pytest.raises(ValueError, match="^quantity must be >= 0$"):
+            dataclasses.replace(item, quantity=Decimal(-1))
 
 
 def test_verify_items_ok_and_delta_sign():
