@@ -63,6 +63,8 @@ def _read_text(path: Path) -> str:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"bad text file {path}: {exc}") from None
+    except MemoryError:
+        raise ValueError(f"file too large to read: {path}") from None
 
 
 def _token_arg(text: str) -> int | str:
@@ -112,6 +114,8 @@ def _resolve_ledger(value: str | None) -> TokenLedger | None:
         return TokenLedger.from_json_obj(obj)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"bad ledger file {path}: {exc}") from None
+    except MemoryError:
+        raise ValueError(f"ledger file too large to read: {path}") from None
 
 
 def _profile_from(config, name: str | None, default_binding: str):

@@ -168,6 +168,10 @@ class _Record:
         return f"{self.__class__.__qualname__}({fields})"
 
 
+# Bound once: Interval() compares every pair of endpoints against it.
+_INF = math.inf
+
+
 class Interval(_Record):
     """Closed numeric range [lo, hi]. A point value has lo == hi."""
 
@@ -179,7 +183,7 @@ class Interval(_Record):
         _set_field(self, "hi", hi)
         # Finite float endpoints in order pass every check of
         # __post_init__ unchanged, so only other pairs run it.
-        if not (type(lo) is float and type(hi) is float and -math.inf < lo <= hi < math.inf):
+        if not (type(lo) is float and type(hi) is float and -_INF < lo <= hi < _INF):
             self.__post_init__()
 
     def __post_init__(self):
@@ -218,17 +222,25 @@ def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
         if unknown:
             raise ValueError(f"{min(unknown)}: unknown key")
     fields = dict(obj)
-    for key, kind in (kinds or {}).items():
-        if key in fields and not isinstance(fields[key], kind):
-            raise ValueError(f"{key}: expected {kind.__name__}, got {type(fields[key]).__name__}")
+    if kinds:
+        for key, kind in kinds.items():
+            if key in fields and not isinstance(fields[key], kind):
+                raise ValueError(
+                    f"{key}: expected {kind.__name__}, got {type(fields[key]).__name__}")
     for key in pairs:
         span = fields.get(key)
         if span is None and key in optional:
             continue
         if not (isinstance(span, list) and len(span) == 2):
             raise ValueError(f"{key}: expected [lo, hi]")
-        fields[key] = Interval(_require_number(span[0], f"{key}[0]"),
-                               _require_number(span[1], f"{key}[1]"))
+        lo, hi = span
+        # A finite float is what _require_number would return; only other
+        # endpoints pay for it and for formatting the name it may print.
+        if not (type(lo) is float and lo - lo == 0.0):
+            lo = _require_number(lo, f"{key}[0]")
+        if not (type(hi) is float and hi - hi == 0.0):
+            hi = _require_number(hi, f"{key}[1]")
+        fields[key] = Interval(lo, hi)
     return fields
 
 

@@ -119,6 +119,8 @@ def _load_json(path: Path, pointer: str) -> object:
         # ValueError covers bytes that are not UTF-8 and integers too long
         # to convert, as well as JSON syntax errors.
         raise ConfigError(f"{pointer}: invalid JSON: {exc}") from None
+    except MemoryError:
+        raise ConfigError(f"{pointer}: file too large to read: {path}") from None
 
 
 def load_config(path: str | Path) -> Config:

@@ -22,6 +22,7 @@ from .core import (
 )
 
 SECONDS_PER_HOUR = 3600.0
+_WH_PER_KWH = Decimal(1000)
 
 
 class WorkforceParams(_Record):
@@ -133,10 +134,17 @@ class Scenario(_Record):
         stages = []
         for i, raw in enumerate(fields.get("stages", ())):
             try:
-                stages.append(PipelineStage(**_json_fields(raw, ("name", "energy_wh_per_doc"))))
+                # _json_fields would return an object of exactly the two
+                # keys unchanged; every other shape goes through it, so each
+                # error is raised where it always was.
+                if (type(raw) is dict and len(raw) == 2 and "name" in raw
+                        and "energy_wh_per_doc" in raw):
+                    stages.append(PipelineStage(raw["name"], raw["energy_wh_per_doc"]))
+                else:
+                    stages.append(PipelineStage(**_json_fields(raw, ("name", "energy_wh_per_doc"))))
             except ValueError as exc:
                 raise ValueError(f"stages[{i}]: {exc}") from None
-        fields["stages"] = tuple(stages)
+        fields["stages"] = stages
         return cls(**fields)
 
     to_json_obj = _json_obj
@@ -224,8 +232,8 @@ def cloud_energy_per_doc(stages: list[PipelineStage] | tuple[PipelineStage, ...]
     """
     if not stages:
         return 0.0
-    total_wh = sum(Decimal(repr(s.energy_wh_per_doc)) for s in stages)
-    return float(total_wh / Decimal(1000))
+    total_wh = sum([Decimal(repr(s.energy_wh_per_doc)) for s in stages])
+    return float(total_wh / _WH_PER_KWH)
 
 
 def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
@@ -256,13 +264,8 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
     energy = Interval((ops_lo * laptop + cloud) + overhead, (ops_hi * laptop + cloud) + overhead)
     factor = profile.emission_factor_g_per_kwh / 1000.0
     wue = profile.wue
-    return DailyFootprint(
-        operators=operators,
-        energy_kwh=energy,
-        co2_kg=Interval(energy.lo * factor, energy.hi * factor),
-        water_l=Interval(energy.lo * wue.lo, energy.hi * wue.hi),
-        energy_per_doc_kwh=per_doc_kwh,
-    )
+    return DailyFootprint(operators, energy, Interval(energy.lo * factor, energy.hi * factor),
+                          Interval(energy.lo * wue.lo, energy.hi * wue.hi), per_doc_kwh)
 
 
 class ScenarioComparison(_Record):
@@ -307,11 +310,9 @@ def _reduction(baseline: Interval, candidate: Interval) -> tuple[float, float]:
 
 def compare_scenarios(baseline: DailyFootprint, candidate: DailyFootprint) -> ScenarioComparison:
     """Percentage reductions of a candidate footprint against a baseline."""
-    return ScenarioComparison(
-        energy_reduction_pct=Interval(*_reduction(baseline.energy_kwh, candidate.energy_kwh)),
-        co2_reduction_pct=Interval(*_reduction(baseline.co2_kg, candidate.co2_kg)),
-        water_reduction_pct=Interval(*_reduction(baseline.water_l, candidate.water_l)),
-    )
+    return ScenarioComparison(Interval(*_reduction(baseline.energy_kwh, candidate.energy_kwh)),
+                              Interval(*_reduction(baseline.co2_kg, candidate.co2_kg)),
+                              Interval(*_reduction(baseline.water_l, candidate.water_l)))
 
 
 def incremental_cost(base: DailyFootprint, candidate: DailyFootprint) -> Interval:

@@ -533,11 +533,9 @@ def test_unreadable_inputs_name_their_source(tmp_path, data_dir, capsys, setup):
     assert not out.exists()
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
-@pytest.mark.parametrize("option", ["--document", "--prompt"])
-def test_an_endless_device_as_text_input_is_an_input_error(tmp_path, option):
-    """Reading /dev/zero never ends; under a 256 MB address-space cap it
-    ends in a MemoryError, so the run must refuse it before reading."""
+def _run_capped(argv):
+    """The CLI run in a child interpreter capped at 256 MB of address
+    space, so that reading a huge input ends in a MemoryError at once."""
     resource = pytest.importorskip("resource")
     cap = 256 << 20
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
@@ -545,15 +543,52 @@ def test_an_endless_device_as_text_input_is_an_input_error(tmp_path, option):
              f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
              "from docfootprint.cli import main\n"
              "sys.exit(main(sys.argv[1:]))\n")
-    out = tmp_path / "out"
     src_root = str(Path(docfootprint.__file__).resolve().parents[1])
-    proc = subprocess.run(
-        [sys.executable, "-c", child, "usecase-run", option, "/dev/zero", "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-c", child, *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src_root},
         timeout=60, check=False)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero device")
+@pytest.mark.parametrize("option", ["--document", "--prompt"])
+def test_an_endless_device_as_text_input_is_an_input_error(tmp_path, option):
+    """Reading /dev/zero never ends; under a 256 MB address-space cap it
+    ends in a MemoryError, so the run must refuse it before reading."""
+    out = tmp_path / "out"
+    proc = _run_capped(["usecase-run", option, "/dev/zero", "--out", str(out)])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "error: file not found: /dev/zero\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["usecase-run", "--document", "HUGE"], "file too large to read: HUGE"),
+    (["tokens-count", "HUGE"], "file too large to read: HUGE"),
+    (["scenario-compare", "--config", "HUGE"], "/: file too large to read: HUGE"),
+    (["scenario-compare", "--config", "CONFIG"], "/scenarios/0: file too large to read: HUGE"),
+    (["usecase-run", "--ledger", "HUGE"], "ledger file too large to read: HUGE"),
+], ids=["usecase-document", "tokens-count", "config", "scenario-file", "ledger"])
+def test_a_file_too_large_to_hold_is_an_input_error(tmp_path, data_dir, argv, message):
+    """HUGE is a 1 GiB sparse file, which takes no disk space and cannot
+    be read under the 256 MB cap; CONFIG names it as its one scenario
+    file. The run names the file on one line and exits 2."""
+    huge = tmp_path / "huge.json"
+    huge.touch()
+    os.truncate(huge, 1 << 30)
+    config = json.loads((data_dir / "config.json").read_text())
+    config["scenarios"] = [huge.name]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    names = {"HUGE": str(huge), "CONFIG": str(tmp_path / "config.json")}
+    argv = [names.get(arg, arg) for arg in argv]
+    out = tmp_path / "out"
+    if argv[0] != "tokens-count":
+        argv += ["--out", str(out)]
+    proc = _run_capped(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message.replace('HUGE', str(huge))}\n"
     assert not out.exists()
 
 

@@ -1,6 +1,8 @@
 import dataclasses
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from docfootprint import (
     DailyFootprint,
@@ -18,6 +20,7 @@ from docfootprint import (
     operators_required,
     water_from_energy,
 )
+from docfootprint.core import _require_number
 from docfootprint.scenarios import ScenarioComparison, increase_pct
 
 
@@ -236,6 +239,161 @@ def test_scenario_json_rejects_unknown_key(config):
     obj["surprise"] = True
     with pytest.raises(ValueError, match="unknown key"):
         Scenario.from_json_obj(obj)
+
+
+def _scenario_obj(per_doc_time_s=(30.0, 120.0), operators_override=None):
+    return {"name": "x", "daily_volume": 100,
+            "workforce": {"per_doc_time_s": list(per_doc_time_s)},
+            "operators_override": operators_override}
+
+
+@pytest.mark.parametrize("obj, message", [
+    (_scenario_obj(per_doc_time_s=(True, 120.0)), "per_doc_time_s[0]: expected a number, got True"),
+    (_scenario_obj(per_doc_time_s=(30.0, math.nan)), "per_doc_time_s[1]: must be finite, got nan"),
+    (_scenario_obj(operators_override=[3, 10 ** 400]),
+     "operators_override[1]: must be finite, got an integer too large for a float"),
+], ids=["bool-endpoint", "nan-endpoint", "huge-int-endpoint"])
+def test_pair_endpoints_that_are_no_finite_float_are_named(obj, message):
+    with pytest.raises(ValueError) as info:
+        Scenario.from_json_obj(obj)
+    assert str(info.value) == message
+
+
+def test_integer_pair_endpoints_come_back_as_floats():
+    scenario = Scenario.from_json_obj(_scenario_obj(per_doc_time_s=(30, 120.0),
+                                                    operators_override=[3, 9]))
+    for pair in (scenario.workforce.per_doc_time_s, scenario.operators_override):
+        assert type(pair.lo) is float and type(pair.hi) is float
+    assert scenario.operators_override == Interval(3.0, 9.0)
+    assert scenario.workforce.per_doc_time_s == Interval(30.0, 120.0)
+
+
+def _reference_fields(obj, required, optional=(), pairs=(), kinds=None):
+    """_json_fields as it was before stages were built without it: every
+    kind checked through a dict, every endpoint through _require_number."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object, got {type(obj).__name__}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{key}: missing required key")
+    if len(obj) > len(required):
+        unknown = set(obj).difference(required, optional)
+        if unknown:
+            raise ValueError(f"{min(unknown)}: unknown key")
+    fields = dict(obj)
+    for key, kind in (kinds or {}).items():
+        if key in fields and not isinstance(fields[key], kind):
+            raise ValueError(f"{key}: expected {kind.__name__}, got {type(fields[key]).__name__}")
+    for key in pairs:
+        span = fields.get(key)
+        if span is None and key in optional:
+            continue
+        if not (isinstance(span, list) and len(span) == 2):
+            raise ValueError(f"{key}: expected [lo, hi]")
+        fields[key] = Interval(_require_number(span[0], f"{key}[0]"),
+                               _require_number(span[1], f"{key}[1]"))
+    return fields
+
+
+def _reference_scenario(obj):
+    """Scenario.from_json_obj as it was: each stage and the workforce
+    through _reference_fields and their constructors' keywords."""
+    fields = _reference_fields(
+        obj, ("name", "daily_volume", "workforce"),
+        ("stages", "overhead_kwh_per_day", "operators_override"),
+        pairs=("operators_override",), kinds={"stages": list})
+    fields["workforce"] = WorkforceParams(**_reference_fields(
+        fields["workforce"], ("per_doc_time_s",),
+        ("shift_hours", "productive_hours", "buffer", "laptop_kwh_per_day"),
+        pairs=("per_doc_time_s",)))
+    stages = []
+    for i, raw in enumerate(fields.get("stages", ())):
+        try:
+            stages.append(PipelineStage(**_reference_fields(raw, ("name", "energy_wh_per_doc"))))
+        except ValueError as exc:
+            raise ValueError(f"stages[{i}]: {exc}") from None
+    fields["stages"] = tuple(stages)
+    return Scenario(**fields)
+
+
+# Values each number check rejects: bools, NaN, infinities, negatives,
+# integers beyond the float range and non-numbers.
+_BAD_NUMBERS = (True, False, math.nan, math.inf, -math.inf, -1.0, -3, 10 ** 400, -(10 ** 400),
+                "1", None)
+_numbers = st.one_of(st.floats(min_value=0.001, max_value=1e4), st.integers(1, 10 ** 6))
+
+
+def _rarely(draw) -> bool:
+    # Two inner values of sixteen: Hypothesis favours the ends of a range.
+    return draw(st.integers(0, 15)) in (5, 11)
+
+
+def _sometimes(draw, good, bad):
+    """Mostly a value from good, rarely one of bad, so that most objects
+    get far enough to build their stages."""
+    return draw(st.sampled_from(bad)) if _rarely(draw) else draw(good)
+
+
+def _pair(draw):
+    ends = sorted(draw(st.lists(_numbers, min_size=2, max_size=2)))
+    ends = [_sometimes(draw, st.just(end), _BAD_NUMBERS) for end in ends]
+    return _sometimes(draw, st.just(ends), ([1.0], [1.0, 2.0, 3.0], None, "1,2", {}))
+
+
+# Keys that no record has, some sorting before and some after the real ones.
+_extras = st.dictionaries(st.sampled_from(["zeta", "alpha", "Name", "energy"]),
+                          st.integers(0, 3), min_size=1, max_size=2)
+
+
+@st.composite
+def _stage_objs(draw):
+    name = _sometimes(draw, st.text(min_size=1, max_size=4), ("", None, 7, ["s"]))
+    obj = {"name": name, "energy_wh_per_doc": _sometimes(draw, _numbers, _BAD_NUMBERS)}
+    kind = draw(st.sampled_from(["extra", "missing", "not-a-dict"])) if _rarely(draw) else "exact"
+    if kind == "extra":
+        obj.update(draw(_extras))
+    elif kind == "missing":
+        del obj[draw(st.sampled_from(sorted(obj)))]
+    elif kind == "not-a-dict":
+        return draw(st.sampled_from([None, 1.5, "stage", [], list(obj.values())]))
+    if draw(st.booleans()):
+        # The same keys, inserted in the other order.
+        obj = dict(reversed(list(obj.items())))
+    return obj
+
+
+@st.composite
+def _scenario_objs(draw):
+    workforce = {"per_doc_time_s": _pair(draw)}
+    if draw(st.booleans()):
+        workforce["buffer"] = _sometimes(draw, st.floats(1.0, 2.0), _BAD_NUMBERS)
+    obj = {"name": _sometimes(draw, st.text(min_size=1, max_size=4), ("", None, "\ud800")),
+           "daily_volume": _sometimes(draw, st.integers(0, 10 ** 6), _BAD_NUMBERS + (1.5,)),
+           "workforce": workforce}
+    if not _rarely(draw):
+        obj["stages"] = _sometimes(draw, st.lists(_stage_objs(), min_size=1, max_size=5),
+                                   ([], None, {}, "s"))
+    if draw(st.booleans()):
+        obj["overhead_kwh_per_day"] = _sometimes(draw, _numbers, _BAD_NUMBERS)
+    if draw(st.booleans()):
+        obj["operators_override"] = _sometimes(
+            draw, st.builds(lambda lo, n: [lo, lo + n], st.integers(0, 500), st.integers(0, 9)),
+            (None, [1.5, 2.0], [2, 1], [True, 1], [1, 10 ** 400], [math.nan, 1.0], "1,2"))
+    if _rarely(draw):
+        obj.update(draw(_extras))
+    return obj
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(_scenario_objs())
+def test_scenario_json_builds_as_through_json_fields(obj):
+    """Scenario.from_json_obj gives the record, or the error text, that
+    checking every object through _json_fields and building each record
+    by keyword gives."""
+    expected = _outcome(_reference_scenario, obj)
+    assert _outcome(Scenario.from_json_obj, obj) == expected
+    if not expected.startswith("ValueError: "):
+        assert Scenario.from_json_obj(obj) == _reference_scenario(obj)
 
 
 def test_scenario_validation():
