@@ -5,12 +5,19 @@ Range-valued quantities (operator counts, kWh per day, liters per day)
 travel as closed intervals. Energy flows tokens -> Wh -> kWh and fans
 out to grams of CO2 and liters of water through a FootprintProfile.
 
-Values are validated where they are built: every record's hand-written
-__init__ checks its fields, and from_json_obj checks the JSON form on
-top. The invoice parser alone skips __init__ (pipeline._line_item), for
-fields its row grammar has already proved. A record is a _Record subclass: _Record makes the instance frozen
-and gives it field-wise ==, hash and repr over its annotated fields.
-The record is registered as a dataclass, for dataclasses.fields and
+Values are validated where they are built. Every record has a
+hand-written __init__. Most check their fields, and from_json_obj checks
+the JSON form on top. Seven only store theirs: VerificationRecord,
+Footprint, ExtractionResult, ThinkingDelta, ScenarioComparison, Config
+and Deviation; the package builds them only from values it has already
+checked. Two constructors skip __init__: pipeline._line_item, for the
+fields the invoice parser's row grammar has already proved, and
+reporting.Config._hashed_on_read, which also keeps the canonical text
+that the config hash is taken over.
+
+A record is a _Record subclass: _Record makes the instance frozen and
+gives it field-wise ==, hash and repr over its annotated fields. The
+record is registered as a dataclass, for dataclasses.fields and
 replace, on first use, so importing the package never imports
 dataclasses.
 """
@@ -60,20 +67,21 @@ def _require_tokens(value, name: str) -> None:
         raise ValueError(f"{name} must be <= 10**15")
 
 
-_TENTH = Decimal("0.1")
+_ONE = Decimal(1)
 
 
-def _tenths(x) -> int:
-    """Decimal(repr(x)) rounded half-up to one decimal, as a whole number of tenths.
+def _half_up(x, places: int = 1) -> int:
+    """x rounded half-up to places decimals, as a whole number of 10**-places.
 
-    The presentation rounding rule, computed on the float when that
-    gives the same digit. Below 2**20 repr(x) is within half an ulp
+    The presentation rounding rule: a float is rounded as Decimal(repr(x)),
+    a Decimal as it is. For one place the float is rounded directly when
+    that gives the same digit. Below 2**20 repr(x) is within half an ulp
     (5.8e-11) of x, and the tenths remainder r is off by about 1e-15, so
     the two round alike unless r is within 1e-6 of the tie at 0.5. Ties,
-    large values, non-floats and non-finite values take the Decimal
-    expression, which is also where every error comes from.
+    large values, other places, non-floats and non-finite values take the
+    Decimal expression, which is also where every error comes from.
     """
-    if type(x) is float:
+    if type(x) is float and places == 1:
         a = -x if x < 0.0 else x
         if a < 1048576.0:
             n = int(a)
@@ -83,12 +91,12 @@ def _tenths(x) -> int:
             if not 0.499999 <= r <= 0.500001:
                 t = 10 * n + d + (r > 0.5)
                 return -t if x < 0.0 else t
-    value = Decimal(repr(x))
+    value = x if isinstance(x, Decimal) else Decimal(repr(x))
     try:
-        return int(value.quantize(_TENTH, ROUND_HALF_UP).scaleb(1))
+        return int(value.quantize(_ONE.scaleb(-places), ROUND_HALF_UP).scaleb(places))
     except InvalidOperation:
         # quantize fails only when the rounded value needs more digits
-        # than the decimal context's 28.
+        # than the decimal context's 28. A float formats as its repr.
         raise ValueError(f"value too large to present: {x}") from None
 
 

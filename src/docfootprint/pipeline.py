@@ -33,12 +33,12 @@ from .core import (
     Interval,
     Water,
     WH_PER_KWH,
+    _half_up,
     _json_fields,
     _json_obj,
     _Record,
     _require_tokens,
     _set_field,
-    _tenths,
     co2_from_energy,
     inference_energy,
     water_from_energy,
@@ -391,7 +391,7 @@ def ledger_shares(ledger: TokenLedger) -> dict[str, float]:
     for name in ("document", "prompt", "output", "thinking"):
         pct = getattr(ledger, name) / total * 100.0
         # t / 10 is the float nearest the rounded decimal, as float() of it is.
-        shares[name] = _tenths(pct) / 10
+        shares[name] = _half_up(pct) / 10
     return shares
 
 

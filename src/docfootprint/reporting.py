@@ -1,14 +1,15 @@
 """Config ingestion and report emission.
 
-Numeric presentation rounding is half-up to one decimal of the float's
-repr. One kernel, core._tenths, computes it for the percent cells here
-and for the token shares of pipeline.ledger_shares; present() applies
-the rule in Decimal, at any number of decimals, to the scenario cells
-and the thinking-delta figures. Internal values stay at full precision
-until a table or plot series is rendered. Published
-table digits are reproduced by rounding energy to one decimal first
-and deriving the CO2 and water cells from those presented figures in
-decimal arithmetic, exactly as the reference tables were produced.
+Numeric presentation rounding is half-up of the float's repr, or of a
+Decimal as it is. One kernel, core._half_up, rounds every presented
+figure to a whole number of tenths (or hundredths). The percent cells
+here and the token shares of pipeline.ledger_shares use that number;
+present() turns it into a Decimal for the scenario cells and the
+thinking-delta figures. Internal values stay at full precision until a
+table or plot series is rendered. Published table digits are
+reproduced by rounding energy to one decimal first and deriving the
+CO2 and water cells from those presented figures in decimal
+arithmetic, exactly as the reference tables were produced.
 
 The config hash is the SHA-256 of the canonical JSON text of a config
 and its scenario files. load_config keeps that text, and the hash is
@@ -21,11 +22,11 @@ from __future__ import annotations
 import io
 import json
 import re
-from decimal import Decimal, InvalidOperation, ROUND_HALF_UP
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .core import _TENTH, FootprintProfile, _json_fields, _Record, _set_field, _tenths
+from .core import FootprintProfile, _half_up, _json_fields, _Record, _set_field
 from .pipeline import ExtractionResult, TokenLedger, ledger_shares
 from .scenarios import (
     DailyFootprint,
@@ -38,7 +39,6 @@ from .scenarios import (
 TABLES = ("scenario_table", "reduction_table", "token_table")
 FORMATS = ("markdown", "csv", "json")
 
-_ONE = Decimal("1")
 # Every line break str.splitlines() splits at.
 _LINE_BREAK = re.compile(r"\r\n|[\n\r\v\f\x1c-\x1e\x85\u2028\u2029]")
 
@@ -53,19 +53,12 @@ def _dec(x: float) -> Decimal:
 
 def present(x: float | Decimal, ndigits: int = 1) -> Decimal:
     """Half-up presentation rounding of a float or Decimal, returned as a Decimal."""
-    quantum = _TENTH if ndigits == 1 else _ONE.scaleb(-ndigits)
-    value = x if isinstance(x, Decimal) else _dec(x)
-    try:
-        return value.quantize(quantum, ROUND_HALF_UP)
-    except InvalidOperation:
-        # quantize fails only when the rounded value needs more digits
-        # than the decimal context's 28. A float formats as its repr.
-        raise ValueError(f"value too large to present: {x}") from None
+    return Decimal(_half_up(x, ndigits)).scaleb(-ndigits)
 
 
 def present_pct(x: float) -> int:
     """Integer percent presentation: half-up to one decimal, then to whole."""
-    t = _tenths(x)
+    t = _half_up(x)
     return (t + 5) // 10 if t >= 0 else -((5 - t) // 10)
 
 

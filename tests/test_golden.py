@@ -5,10 +5,13 @@ only the bundled fixtures and the input documents and configs under
 tests/golden/inputs/, with `--out reports`. It then compares stdout,
 every written file, stderr (stderr.txt, present only when not empty)
 and the exit code (exit_code.txt, present only when not 0) with the
-copies under tests/golden/<case>/. The `--help` text of the top
+copies under tests/golden/<case>/. A case that writes no file must
+leave no reports directory either. The `--help` text of the top
 level and of each subcommand, wrapped at 80 columns, is pinned under
 tests/golden/help/. The golden files are the reference outputs; a
-refactor must leave all of them unchanged.
+refactor must leave all of them unchanged. tests/installed_goldens.py
+checks the same cases and help texts against the installed console
+script.
 """
 
 import shutil
@@ -48,29 +51,44 @@ CASES = {
 }
 
 
-def run_case(argv, workdir: Path, monkeypatch, capsys) -> dict[str, bytes]:
-    """Run one CLI case in workdir; return its outputs by golden file name."""
+def copy_inputs(workdir: Path) -> None:
+    """Put the bundled fixtures and every file under inputs/ in workdir."""
     for name in ("proforma_invoice.txt", "extraction_prompt.txt"):
         shutil.copyfile(FIXTURES_DIR / name, workdir / name)
     for path in INPUTS_DIR.iterdir():
         shutil.copyfile(path, workdir / path.name)
+
+
+def outputs(workdir: Path, stdout: bytes, stderr: bytes, code: int) -> dict[str, bytes]:
+    """A case's outputs by golden file name, given what its run in workdir printed."""
+    produced = {"stdout.txt": stdout}
+    if stderr:
+        produced["stderr.txt"] = stderr
+    if code != 0:
+        produced["exit_code.txt"] = f"{code}\n".encode("utf-8")
+    reports = workdir / "reports"
+    if reports.is_dir():
+        written = sorted(reports.rglob("*"))
+        for path in written:
+            produced[path.relative_to(workdir).as_posix()] = path.read_bytes()
+        if not written:
+            # An empty reports directory; no golden case has one.
+            produced["reports/"] = b""
+    return produced
+
+
+def run_case(argv, workdir: Path, monkeypatch, capsys) -> dict[str, bytes]:
+    """Run one CLI case in workdir; return its outputs by golden file name."""
+    copy_inputs(workdir)
     monkeypatch.chdir(workdir)
     capsys.readouterr()
     code = main(argv)
     captured = capsys.readouterr()
-    outputs = {"stdout.txt": captured.out.encode("utf-8")}
-    if captured.err:
-        outputs["stderr.txt"] = captured.err.encode("utf-8")
-    if code != 0:
-        outputs["exit_code.txt"] = f"{code}\n".encode("utf-8")
-    reports = workdir / "reports"
-    if reports.is_dir():
-        for path in sorted(reports.rglob("*")):
-            outputs[path.relative_to(workdir).as_posix()] = path.read_bytes()
-    return outputs
+    return outputs(workdir, captured.out.encode("utf-8"), captured.err.encode("utf-8"), code)
 
 
-def _golden(case: str) -> dict[str, bytes]:
+def golden(case: str) -> dict[str, bytes]:
+    """The golden files of a case, by their path under its directory."""
     root = GOLDEN_DIR / case
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
@@ -79,7 +97,7 @@ def _golden(case: str) -> dict[str, bytes]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_cli_output_matches_golden(case, tmp_path, monkeypatch, capsys):
     produced = run_case(CASES[case], tmp_path, monkeypatch, capsys)
-    expected = _golden(case)
+    expected = golden(case)
     assert sorted(produced) == sorted(expected)
     for name, data in expected.items():
         assert produced[name] == data, f"{case}: {name} differs from its golden copy"

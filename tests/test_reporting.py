@@ -11,17 +11,20 @@ from hypothesis import example, given, settings, strategies as st
 
 from docfootprint import (
     ConfigError,
+    FootprintProfile,
     Scenario,
     TokenLedger,
     build_bundle,
     emit_bundle_json,
     emit_plot_data,
     emit_table,
+    evaluate_scenario,
     ledger_shares,
     load_config,
     run_pipeline,
+    thinking_delta,
 )
-from docfootprint.core import _tenths
+from docfootprint.core import _half_up
 from docfootprint.reporting import present, present_pct
 
 
@@ -48,26 +51,26 @@ def test_present_half_up():
 
 
 # The presentation rule spelled out in Decimal arithmetic, as the cells
-# were computed before core._tenths: the shortest repr of the float,
-# half-up to one decimal, and for a percent cell half-up again to a
-# whole number.
+# were computed before the core._half_up kernel: the shortest repr of the
+# float, or a Decimal as it is, half-up to ndigits decimals, and for a
+# percent cell half-up again to a whole number.
 _TENTH, _ONE = Decimal("0.1"), Decimal(1)
 
 
-def _reference_tenth(x) -> Decimal:
-    value = Decimal(repr(x))
+def _reference_present(x, ndigits: int = 1) -> Decimal:
+    value = x if isinstance(x, Decimal) else Decimal(repr(x))
     try:
-        return value.quantize(_TENTH, rounding=ROUND_HALF_UP)
+        return value.quantize(_ONE.scaleb(-ndigits), rounding=ROUND_HALF_UP)
     except InvalidOperation:
         raise ValueError(f"value too large to present: {x}") from None
 
 
 def _reference_tenths(x) -> int:
-    return int(_reference_tenth(x).scaleb(1))
+    return int(_reference_present(x).scaleb(1))
 
 
 def _reference_pct(x) -> int:
-    return int(_reference_tenth(x).quantize(_ONE, rounding=ROUND_HALF_UP))
+    return int(_reference_present(x).quantize(_ONE, rounding=ROUND_HALF_UP))
 
 
 def _outcome(f, x):
@@ -78,7 +81,7 @@ def _outcome(f, x):
 
 
 def _assert_rule(x):
-    assert _outcome(_tenths, x) == _outcome(_reference_tenths, x), x
+    assert _outcome(_half_up, x) == _outcome(_reference_tenths, x), x
     assert _outcome(present_pct, x) == _outcome(_reference_pct, x), x
 
 
@@ -100,10 +103,10 @@ def test_tenths_and_percent_cells_follow_the_decimal_rule_near_every_hundredth()
     mismatches = []
     for k in range(100_001):
         for x in _around(k / 100):
-            tenth = _reference_tenth(x)
+            tenth = _reference_present(x)
             tenths = int(tenth.scaleb(1))
             pct = int(tenth.quantize(_ONE, rounding=ROUND_HALF_UP))
-            if ((_tenths(x), present_pct(x), _tenths(-x), present_pct(-x))
+            if ((_half_up(x), present_pct(x), _half_up(-x), present_pct(-x))
                     != (tenths, pct, -tenths, -pct)):
                 mismatches.append(x)
     assert mismatches == []
@@ -140,6 +143,89 @@ def test_tenths_and_percent_cells_follow_the_decimal_rule_at_the_edges():
 @given(x=st.floats() | st.floats(-2.0 ** 21, 2.0 ** 21) | st.floats(-1000, 1000, width=32))
 def test_tenths_and_percent_cells_follow_the_decimal_rule_on_any_float(x):
     _assert_rule(x)
+
+
+def _assert_present(x, ndigits: int):
+    # str() pins the digits and the exponent. No presented figure is
+    # negative; present would drop the sign of a negative value that
+    # rounds to zero.
+    assert (_outcome(lambda v: str(present(v, ndigits)), x)
+            == _outcome(lambda v: str(_reference_present(v, ndigits)), x)), (x, ndigits)
+
+
+def test_present_follows_the_decimal_rule_near_every_tie():
+    # Every tie at one place is some x.x5, at two places some x.xx5.
+    for k in range(10_001):
+        for x in _around(k / 200, 2):
+            if x >= 0:
+                _assert_present(x, 2)
+    for k in range(5_001):
+        for x in _around(k / 20, 2):
+            if x >= 0:
+                _assert_present(x, 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@example(x=0.125)
+@given(x=st.floats(min_value=0.0, allow_nan=False) | st.floats(0.0, 1e6))
+def test_present_follows_the_decimal_rule_on_any_float(x):
+    _assert_present(x, 1)
+    _assert_present(x, 2)
+
+
+def _profiles(config, perfbench_gen):
+    """The bundled profiles and every profile perfbench generates configs from."""
+    return [*config.profiles.values(),
+            *(FootprintProfile.from_json_obj(name, obj)
+              for name, obj in perfbench_gen.PROFILES.items())]
+
+
+def test_present_follows_the_decimal_rule_on_the_thinking_delta_figures(config, perfbench_gen):
+    rng = random.Random(1)
+    for profile in _profiles(config, perfbench_gen):
+        for _ in range(500):
+            base, thinking = (rng.randrange(10 ** rng.randint(1, 15)) for _ in range(2))
+            delta = thinking_delta(base, thinking, profile)
+            if delta.pct_increase is not None:
+                _assert_present(delta.pct_increase, 1)
+            for x in (delta.delta_co2_g, delta.delta_water_ml.lo, delta.delta_water_ml.hi):
+                _assert_present(x, 2)
+
+
+def test_present_follows_the_decimal_rule_on_the_scenario_products(config, perfbench_gen):
+    """The CO2 and water cells of the scenario table: each presented
+    energy cell times the profile's factors, in Decimal, for the energies
+    of the bundled scenarios and of seeded scenario-grid points, and for
+    every energy cell up to 200.0 kWh."""
+    points = [Scenario.from_json_obj(obj) for _, obj in perfbench_gen.scenario_grid(1, 200)]
+    for profile in _profiles(config, perfbench_gen):
+        factors = [Decimal(repr(profile.emission_factor_g_per_kwh)) / Decimal(1000),
+                   Decimal(repr(profile.wue.lo)), Decimal(repr(profile.wue.hi))]
+        energies = [Decimal(t).scaleb(-1) for t in range(2_001)]
+        for s in (*config.scenarios, *points):
+            fp = evaluate_scenario(s, profile)
+            energies += [_reference_present(fp.energy_kwh.lo), _reference_present(fp.energy_kwh.hi)]
+        for energy in energies:
+            for factor in factors:
+                _assert_present(energy * factor, 1)
+
+
+def test_values_too_large_to_present_are_named_in_one_message():
+    # A float is named by its repr, a Decimal by its str.
+    floats = [9.999999999999999e25, 1e26, 9.999999999999999e26, 1e27, 1e28,
+              1.7976931348623157e308, math.inf]
+    decimals = [Decimal("1E+26"), Decimal("1E+27"), Decimal("9999999999999999999999999999"),
+                Decimal("123456789012345678901234567.8"), Decimal(10 ** 27).scaleb(-1) * 288,
+                Decimal("Infinity")]
+    for x in floats + decimals:
+        _assert_present(x, 1)
+        _assert_present(x, 2)
+    with pytest.raises(ValueError, match=r"^value too large to present: 1e\+27$"):
+        present(1e27, 1)
+    with pytest.raises(ValueError, match=r"^value too large to present: 1E\+27$"):
+        present(Decimal("1E+27"), 1)
+    with pytest.raises(ValueError, match=r"^value too large to present: 1e\+26$"):
+        present(1e26, 2)
 
 
 _COMPONENTS = ("document", "prompt", "output", "thinking")
