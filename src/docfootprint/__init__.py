@@ -15,7 +15,6 @@ from .core import (
     apply_pue,
     co2_from_energy,
     inference_energy,
-    interval_add,
     interval_scale,
     prompt_co2,
     thinking_delta,
@@ -50,10 +49,8 @@ from .scenarios import (
     WorkforceParams,
     cloud_energy_per_doc,
     compare_scenarios,
-    docs_per_operator_day,
     evaluate_scenario,
     incremental_cost,
-    operators_required,
 )
 
 __version__ = "0.1.0"
@@ -66,11 +63,10 @@ __all__ = [
     "Interval", "InvoiceParseError", "LineItem", "PipelineStage", "Scenario",
     "TokenLedger", "Water", "WorkforceParams",
     "apply_pue", "build_bundle", "cloud_energy_per_doc", "co2_from_energy",
-    "compare_scenarios", "count_tokens", "docs_per_operator_day",
-    "emit_bundle_json", "emit_plot_data", "emit_table", "evaluate_scenario",
-    "footprint_from_ledger", "get_deviation", "incremental_cost",
-    "inference_energy", "interval_add", "interval_scale", "ledger_shares",
-    "load_config", "normalize_energy", "operators_required", "parse_invoice",
-    "prompt_co2", "render_output_json", "run_pipeline", "thinking_delta",
-    "verify_items", "water_from_energy",
+    "compare_scenarios", "count_tokens", "emit_bundle_json", "emit_plot_data",
+    "emit_table", "evaluate_scenario", "footprint_from_ledger", "get_deviation",
+    "incremental_cost", "inference_energy", "interval_scale", "ledger_shares",
+    "load_config", "normalize_energy", "parse_invoice", "prompt_co2",
+    "render_output_json", "run_pipeline", "thinking_delta", "verify_items",
+    "water_from_energy",
 ]

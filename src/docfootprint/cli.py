@@ -274,8 +274,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
     p = sub.add_parser("thinking-delta", allow_abbrev=False,
                        help="marginal energy/CO2/water of reasoning tokens")
-    p.add_argument("base_tokens", type=_token_arg)
-    p.add_argument("thinking_tokens", type=_token_arg)
+    p.add_argument("base_tokens")
+    p.add_argument("thinking_tokens")
     _add_common_config(p)
     p.add_argument("--profile", default=None,
                    help="profile name (default: the config's scenario binding)")
@@ -301,15 +301,16 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     counts = []
     if argv[:1] == ["thinking-delta"]:
+        # argparse checks the command's shape with stand-ins for the
+        # counts, and the counts themselves are read below. Its only
+        # extras are then the stand-ins past the second, named as typed.
         positions = _count_positions(argv)
-        if len(positions) <= 2:
-            # argparse checks the command's shape with stand-ins for the
-            # counts, and the counts themselves are read below.
-            counts = [argv[i] for i in positions]
-            for i in positions:
-                argv[i] = "0"
+        counts = [argv[i] for i in positions]
+        for i in positions:
+            argv[i] = "0"
     args, extras = parser.parse_known_args(argv)
     if extras:
+        extras = counts[2:] or extras
         # Extras before the command (only unknown options can stand there)
         # were left by the top-level parser, which then reports them all,
         # as parse_args would. Otherwise the chosen command reports its

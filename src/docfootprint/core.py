@@ -264,11 +264,6 @@ def _json_obj(value):
     return value
 
 
-def interval_add(a: Interval, b: Interval) -> Interval:
-    """Endpoint-wise sum of two intervals."""
-    return Interval(a.lo + b.lo, a.hi + b.hi)
-
-
 def interval_scale(a: Interval, k: float) -> Interval:
     """Scale an interval by a non-negative factor.
 
@@ -288,6 +283,11 @@ def _require_rate(rate) -> float:
     if rate <= 0:
         raise ValueError(f"rate_wh_per_ktok must be > 0, got {rate}")
     return rate
+
+
+# A profile's JSON keys, in the order of the fields after its name.
+_PROFILE_KEYS = ("rate_wh_per_ktok", "pue", "wue_l_per_kwh", "emission_factor_g_per_kwh",
+                 "co2_per_prompt_g")
 
 
 class FootprintProfile(_Record):
@@ -329,26 +329,12 @@ class FootprintProfile(_Record):
     @classmethod
     def from_json_obj(cls, name: str, obj: dict) -> "FootprintProfile":
         """Build a profile from its JSON object form; unknown keys are rejected."""
-        fields = _json_fields(obj, ("rate_wh_per_ktok", "pue", "wue_l_per_kwh",
-                                    "emission_factor_g_per_kwh", "co2_per_prompt_g"),
-                              pairs=("wue_l_per_kwh",))
-        return cls(
-            name=name,
-            rate=fields["rate_wh_per_ktok"],
-            pue=fields["pue"],
-            wue=fields["wue_l_per_kwh"],
-            emission_factor_g_per_kwh=fields["emission_factor_g_per_kwh"],
-            co2_per_prompt_g=fields["co2_per_prompt_g"],
-        )
+        fields = _json_fields(obj, _PROFILE_KEYS, pairs=("wue_l_per_kwh",))
+        return cls(name, *[fields[key] for key in _PROFILE_KEYS])
 
     def to_json_obj(self) -> dict:
-        return {
-            "rate_wh_per_ktok": self.rate,
-            "pue": self.pue,
-            "wue_l_per_kwh": [self.wue.lo, self.wue.hi],
-            "emission_factor_g_per_kwh": self.emission_factor_g_per_kwh,
-            "co2_per_prompt_g": self.co2_per_prompt_g,
-        }
+        return {key: _json_obj(getattr(self, name))
+                for key, name in zip(_PROFILE_KEYS, self._names[1:])}
 
 
 class Energy(_Record):

@@ -177,49 +177,32 @@ class DailyFootprint(_Record):
         _set_field(self, "energy_per_doc_kwh", energy_per_doc_kwh)
 
 
-def _throughput(w: WorkforceParams) -> tuple[float, float]:
-    """docs_per_operator_day's endpoints as a float pair."""
+def _operators(s: Scenario) -> tuple[float, float]:
+    """Operator headcount endpoints for a scenario without an override.
+
+    Documents one operator clears per day are floored to whole
+    documents; the headcount is volume / throughput * buffer, ceiled.
+    The fast-throughput endpoint needs the fewest operators, so the low
+    bound pairs the volume with the high throughput. Scenario and
+    WorkforceParams checked the volume and buffer when they were built.
+    """
+    w = s.workforce
     productive_seconds = w.productive_hours * SECONDS_PER_HOUR
+    # Floats: past 2**53, an int volume divided by an int throughput
+    # would round differently.
     try:
-        lo = math.floor(productive_seconds / w.per_doc_time_s.hi)
-        hi = math.floor(productive_seconds / w.per_doc_time_s.lo)
+        tp_lo = float(math.floor(productive_seconds / w.per_doc_time_s.hi))
+        tp_hi = float(math.floor(productive_seconds / w.per_doc_time_s.lo))
     except OverflowError:
         raise ValueError("throughput: must be finite, got inf") from None
-    return float(lo), float(hi)
-
-
-def _operators(volume: int, tp_lo: float, tp_hi: float, buffer: float) -> tuple[float, float]:
-    """operators_required's endpoints as a float pair, for a volume and
-    buffer already checked; they come out finite and ordered."""
     if tp_lo < 1:
         raise ValueError("throughput.lo must be >= 1 (zero throughput)")
     try:
-        lo = math.ceil(volume / tp_hi * buffer)
-        hi = math.ceil(volume / tp_lo * buffer)
+        lo = math.ceil(s.daily_volume / tp_hi * w.buffer)
+        hi = math.ceil(s.daily_volume / tp_lo * w.buffer)
     except OverflowError:
         raise ValueError("operators: must be finite, got inf") from None
     return float(lo), float(hi)
-
-
-def docs_per_operator_day(w: WorkforceParams) -> Interval:
-    """Documents one operator clears per day, floored to whole documents."""
-    lo, hi = _throughput(w)
-    return Interval(lo, hi)
-
-
-def operators_required(volume: int, throughput: Interval, buffer: float) -> Interval:
-    """Operator headcount needed for a daily volume, with capacity buffer.
-
-    The fast-throughput endpoint needs the fewest operators, so the
-    result pairs volume/throughput.hi with the low bound.
-    """
-    if volume < 0:
-        raise ValueError("volume must be >= 0")
-    buffer = _require_number(buffer, "buffer")
-    if buffer < 1.0:
-        raise ValueError(f"buffer >= 1 required, got {buffer}")
-    lo, hi = _operators(volume, throughput.lo, throughput.hi, buffer)
-    return Interval(lo, hi)
 
 
 def cloud_energy_per_doc(stages: list[PipelineStage] | tuple[PipelineStage, ...]) -> float:
@@ -246,13 +229,8 @@ def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:
     w = s.workforce
     operators = s.operators_override
     if operators is None:
-        # Scenario and WorkforceParams checked the volume and buffer when
-        # they were built; operators_required would check them again.
-        tp_lo, tp_hi = _throughput(w)
-        ops_lo, ops_hi = _operators(s.daily_volume, tp_lo, tp_hi, w.buffer)
-        operators = Interval(ops_lo, ops_hi)
-    else:
-        ops_lo, ops_hi = operators.lo, operators.hi
+        operators = Interval(*_operators(s))
+    ops_lo, ops_hi = operators.lo, operators.hi
     # Every term is non-negative, so a partial sum that overflows leaves
     # its endpoint infinite and Interval() reports it; CO2 and water are
     # checked the same way, after energy, as interval_scale and
@@ -282,7 +260,8 @@ class ScenarioComparison(_Record):
 
 
 def _increase(base: Interval, candidate: Interval) -> tuple[float, float]:
-    """increase_pct's endpoints as a checked, ordered float pair."""
+    """Endpoint-matched percentage increase of candidate over base, as a
+    checked, ordered float pair."""
     if base.lo <= 0 or base.hi <= 0:
         raise ValueError("zero baseline")
     # Endpoint-matched ratios; the pair need not arrive ordered, so sort.
@@ -292,12 +271,6 @@ def _increase(base: Interval, candidate: Interval) -> tuple[float, float]:
     if not -math.inf < lo <= hi < math.inf:
         Interval(lo, hi)  # raises, naming the endpoint that is not finite
     return lo, hi
-
-
-def increase_pct(base: Interval, candidate: Interval) -> Interval:
-    """Endpoint-matched percentage increase of one interval over another."""
-    lo, hi = _increase(base, candidate)
-    return Interval(lo, hi)
 
 
 def _reduction(baseline: Interval, candidate: Interval) -> tuple[float, float]:
@@ -317,4 +290,4 @@ def compare_scenarios(baseline: DailyFootprint, candidate: DailyFootprint) -> Sc
 
 def incremental_cost(base: DailyFootprint, candidate: DailyFootprint) -> Interval:
     """Energy cost increase of candidate over base, in percent (endpoint-matched)."""
-    return increase_pct(base.energy_kwh, candidate.energy_kwh)
+    return Interval(*_increase(base.energy_kwh, candidate.energy_kwh))

@@ -176,6 +176,11 @@ def test_no_subcommand_shows_help(capsys):
 @pytest.mark.parametrize("argv, extra", [
     (["thinking-delta", "1", "2", "3"], "3"),
     (["scenario-compare", "x"], "x"),
+    # A -- among the counts is a count too, never argparse's separator.
+    (["thinking-delta", "1", "2", "--"], "--"),
+    (["thinking-delta", "--", "1", "2"], "2"),
+    (["thinking-delta", "1", "--", "2"], "2"),
+    (["thinking-delta", "1", "--", "2", "--config", "X"], "2"),
 ])
 def test_extra_arguments_are_reported_by_their_command(tmp_path, monkeypatch, capsys,
                                                        argv, extra):

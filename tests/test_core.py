@@ -8,6 +8,7 @@ import os
 import random
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -28,7 +29,6 @@ from docfootprint import (
     compare_scenarios,
     evaluate_scenario,
     inference_energy,
-    interval_add,
     interval_scale,
     prompt_co2,
     run_pipeline,
@@ -37,6 +37,15 @@ from docfootprint import (
 )
 from docfootprint.reference import DEVIATIONS
 from docfootprint.core import _Record, _require_number
+
+
+def test_all_lists_every_public_name_the_package_binds():
+    bound = {name for name, value in vars(docfootprint).items()
+             if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert sorted(docfootprint.__all__) == sorted(bound)
+    removed = ("docs_per_operator_day", "operators_required", "increase_pct", "interval_add")
+    for namespace in (docfootprint, docfootprint.core, docfootprint.scenarios):
+        assert [name for name in removed if hasattr(namespace, name)] == []
 
 
 def test_interval_rejects_inverted_bounds():
@@ -72,15 +81,14 @@ def test_interval_rejection_messages(lo, hi, message):
 
 def test_computed_intervals_keep_the_constructor_checks():
     big = Interval(1e308, 1e308)
-    for compute in (lambda: interval_add(big, big),
-                    lambda: interval_scale(big, 10.0),
+    for compute in (lambda: interval_scale(big, 10.0),
                     lambda: water_from_energy(big, Interval(10.0, 10.0)),
                     lambda: water_from_energy(1e308, Interval(10.0, 10.0))):
         with pytest.raises(ValueError) as info:
             compute()
         assert str(info.value) == "lo: must be finite, got inf"
-    total = interval_add(Interval(1, 2), Interval(3, 4))
-    assert type(total.lo) is float and total == Interval(4.0, 6.0)
+    scaled = interval_scale(Interval(1, 2), 3)
+    assert type(scaled.lo) is float and scaled == Interval(3.0, 6.0)
 
 
 class _Float(float):
@@ -144,16 +152,6 @@ def test_interval_point_and_helpers():
     iv = Interval(2.0, 6.0)
     assert iv.midpoint() == 4.0
     assert iv.contains(2.0) and iv.contains(6.0) and not iv.contains(6.5)
-
-
-def test_interval_add_laptop_plus_cloud():
-    total = interval_add(Interval(3.36, 13.44), Interval(2.725, 2.725))
-    assert total == Interval(6.085, 16.165)
-
-
-def test_interval_add_identity_and_endpoints():
-    assert interval_add(Interval(0, 0), Interval(4.5, 9.0)) == Interval(4.5, 9.0)
-    assert interval_add(Interval(1, 2), Interval(3, 5)) == Interval(4, 7)
 
 
 def test_interval_scale_laptop_fleet():

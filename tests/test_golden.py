@@ -11,9 +11,11 @@ level and of each subcommand, wrapped at 80 columns, is pinned under
 tests/golden/help/. The golden files are the reference outputs; a
 refactor must leave all of them unchanged. tests/installed_goldens.py
 checks the same cases and help texts against the installed console
-script.
+script. The outputs README.md shows are checked against the goldens
+too, and its Library example is run.
 """
 
+import re
 import shutil
 from pathlib import Path
 
@@ -21,7 +23,8 @@ import pytest
 
 from docfootprint.cli import FIXTURES_DIR, main
 
-GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN_DIR = ROOT / "tests" / "golden"
 INPUTS_DIR = GOLDEN_DIR / "inputs"
 
 _LEDGERS = {"bundled": ["--ledger", "bundled"], "estimated": []}
@@ -117,3 +120,40 @@ def test_help_matches_golden(command, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.encode("utf-8") == (GOLDEN_DIR / "help" / f"{command}.txt").read_bytes()
+
+
+# Each command README.md shows with its output, and the case that pins it.
+_README_COMMANDS = {
+    "scenario-compare --out reports": "scenario-compare-markdown",
+    "usecase-run --ledger bundled --out reports": "usecase-run-bundled",
+    "thinking-delta 18000 10000": "thinking-delta-18000-10000",
+}
+
+
+def _readme_blocks(lang: str) -> list[str]:
+    """The fenced code blocks of README.md in one language, in order."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(rf"^```{lang}\n(.*?)^```$", text, re.M | re.S)
+
+
+def test_readme_command_outputs_match_goldens():
+    shown = {}
+    for block in _readme_blocks("sh"):
+        if block.startswith("$ docfootprint "):
+            command, _, output = block.partition("\n")
+            shown[command.removeprefix("$ docfootprint ")] = output.encode("utf-8")
+    assert shown == {command: golden(case)["stdout.txt"]
+                     for command, case in _README_COMMANDS.items()}
+
+
+def test_readme_scenario_table_matches_golden():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = re.search(r"^`scenario_table.md`:\n\n((?:\|.*\n)+)", text, re.M).group(1)
+    assert table.encode("utf-8") == golden("scenario-compare-markdown")["reports/scenario_table.md"]
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    [block] = _readme_blocks("python")
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith("Interval(lo=83.23")

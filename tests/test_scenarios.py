@@ -13,68 +13,84 @@ from docfootprint import (
     WorkforceParams,
     cloud_energy_per_doc,
     compare_scenarios,
-    docs_per_operator_day,
     evaluate_scenario,
     incremental_cost,
     interval_scale,
-    operators_required,
     water_from_energy,
 )
 from docfootprint.core import _require_number
-from docfootprint.scenarios import ScenarioComparison, increase_pct
-
-
-def _manual_workforce():
-    return WorkforceParams(per_doc_time_s=Interval(300, 1800))
+from docfootprint.scenarios import SECONDS_PER_HOUR, ScenarioComparison
 
 
 def _hitl_workforce():
     return WorkforceParams(per_doc_time_s=Interval(30, 120))
 
 
+def _headcount(volume, per_doc_time_s, buffer=1.15):
+    """The operator interval evaluate_scenario derives, with no override."""
+    scenario = Scenario(name="s", daily_volume=volume, workforce=WorkforceParams(
+        per_doc_time_s=per_doc_time_s, buffer=buffer))
+    return evaluate_scenario(scenario, FootprintProfile(
+        "p", 0.24, 1.0, Interval(0.3, 1.0), 288.0, 0.03)).operators
+
+
+def _assert_throughput(per_doc_time_s, docs_lo, docs_hi):
+    """At buffer 1, one operator covers a volume up to the documents an
+    operator clears per day, and two are needed one document past it."""
+    assert _headcount(docs_hi, per_doc_time_s, buffer=1.0).lo == 1
+    assert _headcount(docs_hi + 1, per_doc_time_s, buffer=1.0).lo == 2
+    assert _headcount(docs_lo, per_doc_time_s, buffer=1.0).hi == 1
+    assert _headcount(docs_lo + 1, per_doc_time_s, buffer=1.0).hi == 2
+    assert (_headcount(docs_lo * docs_hi, per_doc_time_s, buffer=1.0)
+            == Interval(docs_lo, docs_hi))
+
+
 def test_docs_per_operator_day_manual():
-    assert docs_per_operator_day(_manual_workforce()) == Interval(14, 84)
+    _assert_throughput(Interval(300, 1800), 14, 84)
 
 
 def test_docs_per_operator_day_assisted():
-    assert docs_per_operator_day(_hitl_workforce()) == Interval(210, 840)
-
-
-def test_docs_per_operator_day_degenerate():
-    w = WorkforceParams(per_doc_time_s=Interval(25_200, 25_200))
-    assert docs_per_operator_day(w) == Interval(1, 1)
+    _assert_throughput(Interval(30, 120), 210, 840)
 
 
 def test_operators_required_assisted():
-    assert operators_required(5000, Interval(210, 840), 1.15) == Interval(7, 28)
+    # 210 to 840 documents per operator-day.
+    assert _headcount(5000, Interval(30, 120)) == Interval(7, 28)
 
 
 def test_operators_required_manual_formula():
-    result = operators_required(5000, Interval(14, 84), 1.15)
+    # 14 to 84 documents per operator-day.
+    result = _headcount(5000, Interval(300, 1800))
     assert result == Interval(69, 411)
     # within 3% of the published 70 to 400 range
     assert abs(result.lo - 70) / 70 <= 0.03
     assert abs(result.hi - 400) / 400 <= 0.03
 
 
+def test_docs_per_operator_day_degenerate():
+    # One document per 7-hour day: the headcount is the buffered volume, ceiled.
+    assert _headcount(10, Interval(25_200, 25_200)) == Interval(12, 12)
+    assert _headcount(10, Interval(25_200, 25_200), buffer=1.0) == Interval(10, 10)
+
+
 def test_operators_required_zero_volume():
-    assert operators_required(0, Interval(210, 840), 1.15) == Interval(0, 0)
+    assert _headcount(0, Interval(30, 120)) == Interval(0, 0)
 
 
 def test_operators_required_rejects_zero_throughput():
     with pytest.raises(ValueError, match="zero throughput"):
-        operators_required(100, Interval(0, 10), 1.15)
-    with pytest.raises(ValueError, match="volume must be >= 0"):
-        operators_required(-1, Interval(210, 840), 1.15)
+        _headcount(100, Interval(30, 30_000))
+    with pytest.raises(ValueError, match="daily_volume must be >= 0"):
+        _headcount(-1, Interval(30, 120))
     with pytest.raises(ValueError, match="buffer >= 1 required"):
-        operators_required(100, Interval(210, 840), 0.9)
+        _headcount(100, Interval(30, 120), buffer=0.9)
 
 
 def test_operators_required_monotone():
-    base = operators_required(5000, Interval(210, 840), 1.15)
-    more_volume = operators_required(6000, Interval(210, 840), 1.15)
-    more_buffer = operators_required(5000, Interval(210, 840), 1.3)
-    faster = operators_required(5000, Interval(420, 840), 1.15)
+    base = _headcount(5000, Interval(30, 120))
+    more_volume = _headcount(6000, Interval(30, 120))
+    more_buffer = _headcount(5000, Interval(30, 120), buffer=1.3)
+    faster = _headcount(5000, Interval(30, 60))
     assert more_volume.lo >= base.lo and more_volume.hi >= base.hi
     assert more_buffer.lo >= base.lo and more_buffer.hi >= base.hi
     assert faster.hi <= base.hi
@@ -457,7 +473,7 @@ def test_co2_and_water_overflow_messages(flash):
 def test_ratio_overflow_on_a_tiny_baseline(flash):
     tiny, big = Interval(1e-300, 1e-300), Interval(1.0, 1e10)
     with pytest.raises(ValueError) as info:
-        increase_pct(tiny, big)
+        incremental_cost(_footprint_from_energy(tiny, flash), _footprint_from_energy(big, flash))
     assert str(info.value) == "hi: must be finite, got inf"
     with pytest.raises(ValueError) as info:
         compare_scenarios(_footprint_from_energy(tiny, flash), _footprint_from_energy(big, flash))
@@ -465,12 +481,25 @@ def test_ratio_overflow_on_a_tiny_baseline(flash):
 
 
 def _reference_footprint(s, profile):
-    """evaluate_scenario composed from the public formulas, one per step."""
+    """evaluate_scenario spelled out: the headcount formula with floor and
+    ceil, then the public energy, CO2 and water formulas."""
+    w = s.workforce
     if s.operators_override is not None:
         operators = s.operators_override
     else:
-        operators = operators_required(
-            s.daily_volume, docs_per_operator_day(s.workforce), s.workforce.buffer)
+        seconds = w.productive_hours * SECONDS_PER_HOUR
+        try:
+            docs_lo = math.floor(seconds / w.per_doc_time_s.hi)
+            docs_hi = math.floor(seconds / w.per_doc_time_s.lo)
+        except OverflowError:
+            raise ValueError("throughput: must be finite, got inf") from None
+        if docs_lo < 1:
+            raise ValueError("throughput.lo must be >= 1 (zero throughput)")
+        try:
+            operators = Interval(math.ceil(s.daily_volume / docs_hi * w.buffer),
+                                 math.ceil(s.daily_volume / docs_lo * w.buffer))
+        except OverflowError:
+            raise ValueError("operators: must be finite, got inf") from None
     laptop = s.workforce.laptop_kwh_per_day
     per_doc_kwh = cloud_energy_per_doc(s.stages)
     cloud = per_doc_kwh * s.daily_volume
@@ -487,7 +516,7 @@ def _reference_footprint(s, profile):
 
 
 def _reference_increase(base, candidate):
-    """increase_pct spelled out: endpoint-matched ratios, sorted."""
+    """incremental_cost's ratio spelled out: endpoint-matched ratios, sorted."""
     if base.lo <= 0 or base.hi <= 0:
         raise ValueError("zero baseline")
     at_hi = (candidate.hi / base.hi - 1.0) * 100.0
@@ -496,7 +525,7 @@ def _reference_increase(base, candidate):
 
 
 def _reference_reduction(baseline, candidate):
-    inc = increase_pct(baseline, candidate)
+    inc = _reference_increase(baseline, candidate)
     return Interval(0.0 - inc.hi, 0.0 - inc.lo)
 
 
@@ -545,7 +574,6 @@ def test_evaluate_and_compare_match_the_composed_formulas(perfbench_gen, flash):
             assert (_outcome(compare_scenarios, base, footprint)
                     == _outcome(_reference_comparison, base, footprint))
             assert (_outcome(incremental_cost, base, footprint)
-                    == _outcome(increase_pct, base.energy_kwh, footprint.energy_kwh)
                     == _outcome(_reference_increase, base.energy_kwh, footprint.energy_kwh))
         prev = footprint
     assert len(footprints) > 3000
@@ -554,5 +582,4 @@ def test_evaluate_and_compare_match_the_composed_formulas(perfbench_gen, flash):
             assert (_outcome(compare_scenarios, base, candidate)
                     == _outcome(_reference_comparison, base, candidate))
             assert (_outcome(incremental_cost, base, candidate)
-                    == _outcome(increase_pct, base.energy_kwh, candidate.energy_kwh)
                     == _outcome(_reference_increase, base.energy_kwh, candidate.energy_kwh))
