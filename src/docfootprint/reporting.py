@@ -2,14 +2,22 @@
 
 Numeric presentation rounding is half-up of the float's repr, or of a
 Decimal as it is. One kernel, core._half_up, rounds every presented
-figure to a whole number of tenths (or hundredths). The percent cells
-here and the token shares of pipeline.ledger_shares use that number;
-present() turns it into a Decimal for the scenario cells and the
-thinking-delta figures. Internal values stay at full precision until a
-table or plot series is rendered. Published table digits are
-reproduced by rounding energy to one decimal first and deriving the
-CO2 and water cells from those presented figures in decimal
-arithmetic, exactly as the reference tables were produced.
+figure to a whole number of tenths (or hundredths). The scenario and
+percent cells here and the token shares of pipeline.ledger_shares use
+that number; present() turns it into a Decimal for the thinking-delta
+figures. Internal values stay at full precision until a table or plot
+series is rendered. Published table digits are reproduced by rounding
+energy to one decimal first and deriving the CO2 and water cells from
+those presented figures in decimal arithmetic, exactly as the
+reference tables were produced.
+
+The scenario and reduction tables format each row from one set of
+presented cells, once per output. Module-level % templates give a
+scenario row's JSON object, its plot records and its markdown row, and
+each entry of a reduction row's JSON maps; csv.writer writes the CSV
+rows, quoting where needed. The JSON templates give the bytes
+json.dumps(indent=2) would, without its cost: with indent set, json
+falls back to its pure-Python encoder.
 
 The config hash is the SHA-256 of the canonical JSON text of a config
 and its scenario files. load_config keeps that text, and the hash is
@@ -209,23 +217,68 @@ def _md(name: str) -> str:
     return _LINE_BREAK.sub("<br>", name.replace("|", "\\|"))
 
 
-def _range_cell(lo, hi) -> str:
-    return f"{lo} -- {hi}"
-
-
-def _pair(lo, hi, indent: str) -> str:
-    """A two-number JSON array as json.dumps(indent=2) writes it at this indent.
-
-    The JSON of the rows and plot records is written as text because
-    json.dumps falls back to its pure-Python encoder when indent is set.
-    Values are ints or finite floats, whose repr is what json writes.
-    """
-    return f"[\n{indent}  {lo!r},\n{indent}  {hi!r}\n{indent}]"
-
-
 def _table_json(head: str, rows: list[str]) -> str:
     """A table's JSON text: the head members' text, then the row objects' texts."""
     return "{\n" + head + '  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+
+
+# Each JSON template gives the text json.dumps(indent=2) writes for its
+# row at its place in the table. Its %s are JSON strings from _quote or
+# the JSON text of numbers, and its %r ints or finite floats, whose repr
+# is what json writes.
+_SCENARIO_ROW = """\
+    {
+      "scenario": %s,
+      "operators": [
+        %r,
+        %r
+      ],
+      "energy_kwh_per_day": [
+        %s,
+        %s
+      ],
+      "co2_kg_per_day": [
+        %s,
+        %s
+      ],
+      "water_l_per_day": [
+        %s,
+        %s
+      ],
+      "energy_per_doc_kwh": %r
+    }"""
+_PLOT_RECORD = """\
+  {
+    "scenario": %s,
+    "metric": "{metric}",
+    "lo": %s,
+    "hi": %s,
+    "mid": %r
+  }"""
+# A row's three plot records, one per metric, as one template.
+_PLOT_RECORDS = ",\n".join(_PLOT_RECORD.replace("{metric}", metric)
+                           for metric in ("energy_kwh_per_day", "co2_kg_per_day",
+                                          "water_l_per_day"))
+_SCENARIO_MD = "| %s | %s -- %s | %s -- %s | %s -- %s | %s -- %s | %s |\n"
+_REDUCTION_ROW = """\
+    {
+      "metric": "%s",
+      "reductions": %s,
+      "increases": %s
+    }"""
+_MAP_ENTRY = """\
+        %s: [
+          %r,
+          %r
+        ]"""
+
+# Below this many tenths (1e14 kWh, under 2**47) a cell's float t / 10
+# is within 1/128 of it, so no other decimal of as few digits rounds to
+# that float, and its repr is the cell's own text. The Decimal sum of two
+# such cells and its half are exact, so float((lo + hi) / 2) is the
+# correctly rounded (lo + hi) / 20 that int / int gives. From 2 * 10**27
+# tenths on, the 28-digit context can round that half.
+_SMALL_TENTHS = 10**15
 
 
 def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintProfile) -> tuple:
@@ -235,57 +288,49 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
     in decimal arithmetic rather than from the full-precision chain;
     this matches how the published tables were rounded (e.g. a 16.2
     energy bound gives 16.2 * 0.30 = 4.86 -> 4.9 L, where the exact
-    chain would show 4.8). Each row's JSON object and its three plot
-    records are written from the same cells as its CSV and markdown
-    rows, as the text json.dumps(indent=2) gives for them.
+    chain would show 4.8). A row's cells are whole tenths from _half_up.
+    A cell's text, from // and %, is str of the Decimal cell; its JSON
+    number is the repr of t / 10, float of the Decimal cell. In a row
+    whose cells are all below _SMALL_TENTHS the two are the same text,
+    and the plot midpoints come from the tenths. The row's JSON object,
+    plot records and markdown row are each written by one template,
+    from the same cells as its CSV row.
     """
     ef = _dec(profile.emission_factor_g_per_kwh) / Decimal(1000)
     wue_lo = _dec(profile.wue.lo)
     wue_hi = _dec(profile.wue.hi)
     rows, csv_rows, md_rows, records = [], [], [], []
     for name, fp in footprints.items():
-        operators = [int(fp.operators.lo), int(fp.operators.hi)]
-        energy = [present(fp.energy_kwh.lo, 1), present(fp.energy_kwh.hi, 1)]
-        co2 = [present(energy[0] * ef, 1), present(energy[1] * ef, 1)]
-        water = [present(energy[0] * wue_lo, 1), present(energy[1] * wue_hi, 1)]
-        per_doc = f"{fp.energy_per_doc_kwh:.6f}"
-        key, series = _quote(name), ""
-        for metric, (lo, hi) in zip(("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day"),
-                                    (energy, co2, water)):
-            lo, hi, mid = float(lo), float(hi), float((lo + hi) / 2)
-            series += f',\n      "{metric}": {_pair(lo, hi, "      ")}'
-            records.append(f'  {{\n    "scenario": {key},\n    "metric": "{metric}",\n'
-                           f'    "lo": {lo!r},\n    "hi": {hi!r},\n    "mid": {mid!r}\n  }}')
-        rows.append(f'    {{\n      "scenario": {key},\n      "operators": '
-                    f'{_pair(*operators, "      ")}{series},\n'
-                    f'      "energy_per_doc_kwh": {fp.energy_per_doc_kwh!r}\n    }}')
-        cells = (operators, energy, co2, water)
-        csv_rows.append([name, *(str(v) for pair in cells for v in pair), per_doc])
-        md_rows.append([_md(name), *(_range_cell(*pair) for pair in cells), per_doc])
+        e0, e1 = _half_up(fp.energy_kwh.lo), _half_up(fp.energy_kwh.hi)
+        d0, d1 = Decimal(e0).scaleb(-1), Decimal(e1).scaleb(-1)
+        c0, c1 = _half_up(d0 * ef), _half_up(d1 * ef)
+        w0, w1 = _half_up(d0 * wue_lo), _half_up(d1 * wue_hi)
+        tenths = (e0, e1, c0, c1, w0, w1)
+        text = [f"{t // 10}.{t % 10}" for t in tenths]
+        # Each high endpoint is at least its low one.
+        if max(e1, c1, w1) < _SMALL_TENTHS:
+            nums, mids = text, ((e0 + e1) / 20, (c0 + c1) / 20, (w0 + w1) / 20)
+        else:
+            nums = [repr(t / 10) for t in tenths]
+            dec = [Decimal(t).scaleb(-1) for t in tenths]
+            mids = [float((lo + hi) / 2) for lo, hi in zip(dec[::2], dec[1::2])]
+        o0, o1 = int(fp.operators.lo), int(fp.operators.hi)
+        per_doc = fp.energy_per_doc_kwh
+        key = _quote(name)
+        rows.append(_SCENARIO_ROW % (key, o0, o1, *nums, per_doc))
+        records.append(_PLOT_RECORDS % (key, nums[0], nums[1], mids[0], key, nums[2], nums[3],
+                                        mids[1], key, nums[4], nums[5], mids[2]))
+        cells = (o0, o1, *text, f"{per_doc:.6f}")
+        csv_rows.append((name, *cells))
+        md_rows.append(_SCENARIO_MD % (_md(name), *cells))
     csv_header = ["scenario", "operators_lo", "operators_hi",
                   "energy_kwh_lo", "energy_kwh_hi", "co2_kg_lo", "co2_kg_hi",
                   "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
     md_header = ["Scenario", "Operators", "Energy (kWh/day)", "CO2 (kg/day)",
                  "Water (L/day)", "Energy per doc (kWh)"]
-    table = _render(_table_json('  "table": "scenario_table",\n', rows), csv_header, csv_rows,
+    table = _render(_table_json('  "table": "scenario_table",\n', rows), [csv_header, *csv_rows],
                     md_header, md_rows)
     return table, "[\n" + ",\n".join(records) + "\n]\n"
-
-
-def _pct_pair(lo: float, hi: float) -> list[int]:
-    return [present_pct(lo), present_pct(hi)]
-
-
-def _increase_cell(lo: int, hi: int) -> str:
-    return f"+{lo} -- +{hi}" if lo >= 0 else _range_cell(lo, hi)
-
-
-def _pct_map(pairs: dict[str, list[int]]) -> str:
-    """A row's map of percent pairs, as json.dumps(indent=2) writes it there."""
-    if not pairs:
-        return "{}"
-    return "{\n" + ",\n".join(f"        {_quote(key)}: {_pair(lo, hi, '        ')}"
-                               for key, (lo, hi) in pairs.items()) + "\n      }"
 
 
 _METRICS = (("energy", "energy_kwh"), ("co2", "co2_kg"), ("water", "water_l"))
@@ -302,22 +347,28 @@ def _ratios(ratio, pointer: str, label: str, base, candidate) -> dict[str, tuple
     return out
 
 
+def _json_map(entries: list[str]) -> str:
+    """A row's map of _MAP_ENTRY texts, as json.dumps(indent=2) writes it there."""
+    return "{\n" + ",\n".join(entries) + "\n      }" if entries else "{}"
+
+
 def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> dict:
     """Reductions of every other scenario against the baseline, and the
     increase of each of those scenarios over the one before it.
 
     Every ratio is computed before any is presented, so a zero baseline
     is reported ahead of a presentation failure. Each metric row's
-    reduction and increase maps are written as JSON text in the loop
-    that builds its CSV and markdown rows; a map with no pair is {}.
-    A repeated increase key or markdown header is a ConfigError naming
-    the later scenario, since a reader could not tell the columns apart.
+    percent pairs are presented once, reductions then increases, and
+    its JSON maps, CSV row and markdown row are written from them; a
+    map with no pair is {}. A repeated increase key or markdown header
+    is a ConfigError naming the later scenario, since a reader could
+    not tell the columns apart.
     """
     pointers = {name: f"/scenarios/{i}" for i, name in enumerate(footprints)}
     reduction_keys = [n for n in footprints if n != baseline]
-    comparisons = {n: _ratios(_reduction, pointers[n], f"reduction vs {baseline}",
-                              footprints[baseline], footprints[n])
-                   for n in reduction_keys}
+    comparisons = [_ratios(_reduction, pointers[n], f"reduction vs {baseline}",
+                           footprints[baseline], footprints[n])
+                   for n in reduction_keys]
     steps = {}
     for a, b in zip(reduction_keys, reduction_keys[1:]):
         key = f"{b}_vs_{a}"
@@ -325,9 +376,14 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
             raise ConfigError(f"{pointers[b]}: increase column {key!r} repeats an earlier one")
         steps[key] = _ratios(_increase, pointers[b], f"increase vs {a}",
                              footprints[a], footprints[b])
+    md = {name: _md(name) for name in footprints}
     md_header = ["Metric"]
-    md_header += [f"{_md(key)} vs {_md(baseline)} (reduction %)" for key in reduction_keys]
-    md_header += [f"{_md(key.replace('_vs_', ' vs '))} (increase %)" for key in steps]
+    md_header += [f"{md[key]} vs {md[baseline]} (reduction %)" for key in reduction_keys]
+    # _md leaves every _vs_ as it is, so replacing them after it gives
+    # the same text; the replace runs over the whole key because a _vs_
+    # can straddle the join.
+    md_header += [f"{md[b]}_vs_{md[a]}".replace("_vs_", " vs ") + " (increase %)"
+                  for a, b in zip(reduction_keys, reduction_keys[1:])]
     seen = set()
     # Each reduction column belongs to its scenario, each increase column
     # to the later scenario of its pair.
@@ -335,23 +391,25 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         if header in seen:
             raise ConfigError(f"{pointers[owner]}: markdown header {header!r} repeats an earlier one")
         seen.add(header)
+    n = len(reduction_keys)
+    ratios = [*comparisons, *steps.values()]
+    json_keys = [_quote(key) for key in (*reduction_keys, *steps)]
     rows, csv_rows, md_rows = [], [], []
     for metric, _ in _METRICS:
-        reductions = {n: _pct_pair(*c[metric]) for n, c in comparisons.items()}
-        increases = {key: _pct_pair(*pcts[metric]) for key, pcts in steps.items()}
-        rows.append(f'    {{\n      "metric": "{metric}",\n      "reductions": '
-                    f'{_pct_map(reductions)},\n      "increases": {_pct_map(increases)}\n    }}')
-        pairs = [*reductions.values(), *increases.values()]
-        csv_rows.append([metric, *(str(v) for pair in pairs for v in pair)])
-        md_rows.append([metric, *(_range_cell(*pair) for pair in reductions.values()),
-                        *(_increase_cell(*pair) for pair in increases.values())])
+        pcts = [(present_pct(lo), present_pct(hi)) for lo, hi in (r[metric] for r in ratios)]
+        entries = [_MAP_ENTRY % (key, *pair) for key, pair in zip(json_keys, pcts)]
+        rows.append(_REDUCTION_ROW % (metric, _json_map(entries[:n]), _json_map(entries[n:])))
+        csv_rows.append([metric, *[v for pair in pcts for v in pair]])
+        cells = [metric, *[f"{lo} -- {hi}" for lo, hi in pcts[:n]]]
+        cells += [f"+{lo} -- +{hi}" if lo >= 0 else f"{lo} -- {hi}" for lo, hi in pcts[n:]]
+        md_rows.append("| " + " | ".join(cells) + " |\n")
     csv_header = ["metric"]
     for key in reduction_keys:
         csv_header += [f"{key}_vs_{baseline}_reduction_lo", f"{key}_vs_{baseline}_reduction_hi"]
     for key in steps:
         csv_header += [f"{key}_increase_lo", f"{key}_increase_hi"]
     head = f'  "table": "reduction_table",\n  "baseline": {_quote(baseline)},\n'
-    return _render(_table_json(head, rows), csv_header, csv_rows, md_header, md_rows)
+    return _render(_table_json(head, rows), [csv_header, *csv_rows], md_header, md_rows)
 
 
 def _token_table(ledger: TokenLedger) -> dict:
@@ -362,27 +420,27 @@ def _token_table(ledger: TokenLedger) -> dict:
     total_share = float(sum(_dec(share) for share in shares.values()))
     obj = {"table": "token_table", "source": ledger.source, "rows": rows,
            "total_tokens": total, "total_share_pct": total_share}
-    csv_rows = [[r["component"], str(r["tokens"]), str(r["share_pct"])] for r in rows]
-    md_rows = [[r["component"], f"{r['tokens']:,}", str(r["share_pct"])] for r in rows]
-    return _render(_json_text(obj), ["component", "tokens", "share_pct"],
-                   csv_rows + [["total", str(total), str(total_share)]],
+    csv_rows = [[r["component"], r["tokens"], r["share_pct"]] for r in rows]
+    md_rows = [f"| {r['component']} | {r['tokens']:,} | {r['share_pct']} |\n" for r in rows]
+    return _render(_json_text(obj),
+                   [["component", "tokens", "share_pct"], *csv_rows, ["total", total, total_share]],
                    ["Component", "Tokens", "Share (%)"],
-                   md_rows + [["TOTAL", f"{total:,}", str(total_share)]])
+                   md_rows + [f"| TOTAL | {total:,} | {total_share} |\n"])
 
 
 def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _render(json_text, csv_header, csv_rows, md_header, md_rows) -> dict[str, str]:
-    """One table's final text in every format, given its JSON text."""
+def _render(json_text, csv_rows, md_header, md_rows) -> dict[str, str]:
+    """One table's final text in every format, given its JSON text, its CSV
+    rows (header first), and its markdown header cells and row lines."""
     import csv  # only here, so commands that emit no table never import it
 
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows((csv_header, *csv_rows))
-    markdown = "".join("| " + " | ".join(row) + " |\n"
-                       for row in (md_header, ["---"] * len(md_header), *md_rows))
-    return {"markdown": markdown, "csv": buf.getvalue(), "json": json_text}
+    csv.writer(buf, lineterminator="\n").writerows(csv_rows)
+    markdown = "| " + " | ".join(md_header) + " |\n|" + " --- |" * len(md_header) + "\n"
+    return {"markdown": markdown + "".join(md_rows), "csv": buf.getvalue(), "json": json_text}
 
 
 def emit_table(bundle: dict, which: str, fmt: str = "markdown") -> str:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -135,6 +136,22 @@ def test_tenths_and_percent_cells_follow_the_decimal_rule_at_the_edges():
     for x in floats + _INT_EDGES:
         _assert_rule(x)
         _assert_rule(-x)
+
+
+# .x5 ties above 2**31 and below 1e12. There the float (a - n) * 10.0 is
+# off by more than the tie window, so rounding on the float would give the
+# lower tenth where the rule gives the upper one: 4194114468113 instead
+# of 4194114468114 for 419411446811.35.
+_LARGE_TIES = [2418525393.45, 16474485682.65, 63914412761.35, 218838223607.05,
+               419411446811.35, 929919568425.95]
+
+
+def test_ties_above_2_31_follow_the_decimal_rule():
+    assert _half_up(419411446811.35) == 4194114468114
+    for x in _LARGE_TIES:
+        _assert_rule(x)
+        _assert_rule(-x)
+        _assert_present(x, 1)
 
 
 @settings(derandomize=True, max_examples=1000, deadline=None, database=None)
@@ -357,6 +374,20 @@ def test_load_config_scenario_pointer(tmp_path, data_dir):
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match=r"/scenarios/0: daily_volume"):
         load_config(path)
+
+
+def test_negative_operators_override_is_rejected_where_it_is_read(tmp_path, data_dir):
+    obj = json.loads((data_dir / "scenarios" / "hitl.json").read_text())
+    obj["operators_override"] = [-1, 5]
+    with pytest.raises(ValueError) as info:
+        Scenario.from_json_obj(obj)
+    assert str(info.value) == "operators_override endpoints must be integers >= 0"
+    shutil.copytree(data_dir / "scenarios", tmp_path / "scenarios")
+    (tmp_path / "scenarios" / "hitl.json").write_text(json.dumps(obj))
+    shutil.copy(data_dir / "config.json", tmp_path / "config.json")
+    with pytest.raises(ConfigError) as info:
+        load_config(tmp_path / "config.json")
+    assert str(info.value) == "/scenarios/1: operators_override endpoints must be integers >= 0"
 
 
 def test_config_round_trip_matches_raw(config, data_dir):
@@ -663,3 +694,81 @@ def test_markdown_escapes_pipes_and_line_breaks_in_names(config):
     # CSV and JSON keep the names as they are.
     assert "a|b" in emit_table(bundle, "scenario_table", "csv")
     assert json.loads(emit_table(bundle, "scenario_table", "json"))["rows"][2]["scenario"] == "c\nd"
+
+
+# Names that a % or str.format template, a CSV cell, a markdown cell or a
+# JSON string could each mistake for their own syntax.
+_TEMPLATE_NAMES = ["manual", "m%s", "100%% {0}", '{}, "q"', "a|b\nc\u2028d ü ✓"]
+
+# Scenarios at 0.1 kWh per operator whose cells reach past float and
+# Decimal limits. "huge-both" has both energy endpoints in [1e26, 1e27)
+# kWh, so the Decimal sum of its endpoints has more than 28 digits.
+# "huge-mixed" pairs a 2.05e10 kWh low endpoint with a 2.5e26 kWh high
+# one; the 28-digit halving of their sum lands on a float tie that the
+# exact midpoint does not. "past-2**49" uses 2e15 kWh, whose CO2 and
+# water cells 576000000000000.3 and 600000000000000.3 read .2 as floats.
+_HUGE = [("huge-both", {"operators_override": [6 * 10**27, 9 * 10**27]}),
+         ("huge-mixed", {"operators_override": [205017579521, 25 * 10**26]}),
+         ("past-2**49", {"operators_override": [0, 0], "overhead_kwh_per_day": 2 * 10**15 + 1})]
+
+# SHA-256 over every case's emitted texts, per group; see _report_digests.
+_REPORT_DIGESTS = {
+    "seed-1": "67e027c9be8df84903be0449e0aed89799111c0955eb6025a30887d78db6cb5c",
+    "seed-2": "8812679077a2b387c2593a703b121671b9a9a7a0c31560952f251461d378a235",
+    "seed-3": "6152862df763e9cc0d77ff7e185b3ce8f65047cbcda321f4945b4c45047d8553",
+    "template-names": "c66353ff47501ee2e0203ea5bfdfeee1886d2065c4bc1b72136e14fa4cafd5f3",
+    "huge-energy": "3d114bef2019f52415389c0e878ac35fa1b4317769553731cdd317c428fddc52",
+}
+
+
+def _report_digests(groups, usecase):
+    """Each group's SHA-256 over one line per case and emitted text: the
+    case, the text's name and the SHA-256 of its UTF-8 bytes."""
+    out = {}
+    for group, cases in groups.items():
+        lines = []
+        for label, (cfg, baseline) in cases:
+            for result in (None, usecase):
+                b = build_bundle(cfg, baseline, usecase=result)
+                texts = {f"{table}.{fmt}": emit_table(b, table, fmt)
+                         for table in ("scenario_table", "reduction_table", "token_table")
+                         if table in b for fmt in ("markdown", "csv", "json")}
+                texts["plot_data"] = emit_plot_data(b)
+                texts["bundle.json"] = emit_bundle_json(b)
+                for name, text in texts.items():
+                    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+                    lines.append(f"{label} {result is not None} {name} {digest}\n")
+        out[group] = hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()
+    return out
+
+
+def test_emitted_texts_match_their_pinned_digests(config, invoice_text, prompt_text,
+                                                  perfbench_gen, tmp_path):
+    """Every table in every format, the plot data and bundle.json, with and
+    without a usecase, hash to the pinned digests: for the generated
+    configs of seeds 1-3, for scenario names holding template, CSV,
+    markdown and JSON syntax, and for cells past float and Decimal
+    limits."""
+    usecase = run_pipeline(invoice_text, prompt_text, config.profiles[config.usecase_profile])
+    groups = {}
+    for seed in (1, 2, 3):
+        dirs = perfbench_gen.config_dirs(seed, tmp_path / f"seed-{seed}")
+        groups[f"seed-{seed}"] = [(d.path.name, (load_config(d.path / "config.json"), d.baseline))
+                                  for d in dirs]
+    renamed = dataclasses.replace(config, scenarios=tuple(
+        dataclasses.replace(config.scenarios[i % 3], name=name)
+        for i, name in enumerate(_TEMPLATE_NAMES)))
+    groups["template-names"] = [(repr(baseline), (renamed, baseline))
+                                for baseline in (_TEMPLATE_NAMES[0], _TEMPLATE_NAMES[3])]
+    huge = [Scenario.from_json_obj({"name": name, "daily_volume": 1, **fields,
+                                    "workforce": {"per_doc_time_s": [30, 120],
+                                                  "laptop_kwh_per_day": 0.1}})
+            for name, fields in _HUGE]
+    profile = config.profiles[config.scenario_profile]
+    both, mixed, _ = (evaluate_scenario(s, profile).energy_kwh for s in huge)
+    assert 10**26 <= both.lo <= both.hi < 10**27 and both.lo + both.hi > 10**27
+    lo, hi = _half_up(mixed.lo), _half_up(mixed.hi)
+    assert float((Decimal(lo).scaleb(-1) + Decimal(hi).scaleb(-1)) / 2) != (lo + hi) / 20
+    groups["huge-energy"] = [("huge", (dataclasses.replace(
+        config, scenarios=(*huge, *config.scenarios)), "huge-both"))]
+    assert _report_digests(groups, usecase) == _REPORT_DIGESTS
