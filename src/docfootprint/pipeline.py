@@ -37,6 +37,7 @@ from .core import (
     _json_fields,
     _json_obj,
     _Record,
+    _require_number,
     _require_tokens,
     _set_field,
     co2_from_energy,
@@ -346,9 +347,11 @@ def footprint_from_ledger(ledger: TokenLedger, profile: FootprintProfile) -> Foo
     """Full conversion chain over the ledger total: tokens -> kWh -> {g, L}."""
     wh = inference_energy(ledger.total(), profile.rate)
     kwh = wh / WH_PER_KWH
+    # Water past the float range fails Interval's check; the bare CO2 float is checked here.
+    co2 = _require_number(co2_from_energy(kwh, profile.emission_factor_g_per_kwh), "co2_g")
     return Footprint(
         energy=Energy(kwh),
-        co2=Carbon(co2_from_energy(kwh, profile.emission_factor_g_per_kwh)),
+        co2=Carbon(co2),
         water=Water(water_from_energy(kwh, profile.wue)),
     )
 

@@ -15,9 +15,12 @@ The scenario and reduction tables format each row from one set of
 presented cells, once per output. Module-level % templates give a
 scenario row's JSON object, its plot records and its markdown row, and
 each entry of a reduction row's JSON maps; csv.writer writes the CSV
-rows, quoting where needed. The JSON templates give the bytes
-json.dumps(indent=2) would, without its cost: with indent set, json
-falls back to its pure-Python encoder.
+rows, quoting where needed. The JSON templates are derived at import
+from json.dumps(indent=2), with placeholders where the cells go, and
+_block joins laid-out members into the objects and arrays around them.
+So json states the layout once, and the report holds the bytes
+json.dumps(indent=2) would write, without calling it per row: with
+indent set, json falls back to its pure-Python encoder.
 
 The config hash is the SHA-256 of the canonical JSON text of a config
 and its scenario files. load_config keeps that text, and the hash is
@@ -217,60 +220,34 @@ def _md(name: str) -> str:
     return _LINE_BREAK.sub("<br>", name.replace("|", "\\|"))
 
 
-def _table_json(head: str, rows: list[str]) -> str:
-    """A table's JSON text: the head members' text, then the row objects' texts."""
-    return "{\n" + head + '  "rows": [\n' + ",\n".join(rows) + "\n  ]\n}\n"
+def _template(obj, depth: int) -> str:
+    """json.dumps(obj, indent=2) with every line indented depth levels,
+    and each string value "%s" or "%r" written bare, as a placeholder."""
+    text = json.dumps(obj, indent=2).replace('"%s"', "%s").replace('"%r"', "%r")
+    return "  " * depth + text.replace("\n", "\n" + "  " * depth)
 
 
-# Each JSON template gives the text json.dumps(indent=2) writes for its
-# row at its place in the table. Its %s are JSON strings from _quote or
-# the JSON text of numbers, and its %r ints or finite floats, whose repr
-# is what json writes.
-_SCENARIO_ROW = """\
-    {
-      "scenario": %s,
-      "operators": [
-        %r,
-        %r
-      ],
-      "energy_kwh_per_day": [
-        %s,
-        %s
-      ],
-      "co2_kg_per_day": [
-        %s,
-        %s
-      ],
-      "water_l_per_day": [
-        %s,
-        %s
-      ],
-      "energy_per_doc_kwh": %r
-    }"""
-_PLOT_RECORD = """\
-  {
-    "scenario": %s,
-    "metric": "{metric}",
-    "lo": %s,
-    "hi": %s,
-    "mid": %r
-  }"""
-# A row's three plot records, one per metric, as one template.
-_PLOT_RECORDS = ",\n".join(_PLOT_RECORD.replace("{metric}", metric)
-                           for metric in ("energy_kwh_per_day", "co2_kg_per_day",
-                                          "water_l_per_day"))
+def _block(items, depth: int, brackets: str = "{}") -> str:
+    """The object or array json.dumps(indent=2) writes at depth, from its
+    members' texts already laid out one level deeper; {} or [] if none."""
+    text = ",\n".join(items)
+    return f"{brackets[0]}\n{text}\n{'  ' * depth}{brackets[1]}" if text else brackets
+
+
+# Each JSON template is the text json.dumps(indent=2) writes for its row
+# at its place in the table. Its %s are JSON strings from _quote or the
+# JSON text of numbers or maps, and its %r ints or finite floats, whose
+# repr is what json writes.
+_SERIES = ("energy_kwh_per_day", "co2_kg_per_day", "water_l_per_day")
+_SCENARIO_ROW = _template({"scenario": "%s", "operators": ["%r", "%r"],
+                           **{series: ["%s", "%s"] for series in _SERIES},
+                           "energy_per_doc_kwh": "%r"}, 2)
+# A row's plot records, one per series, as one template.
+_PLOT_RECORDS = ",\n".join(_template({"scenario": "%s", "metric": series, "lo": "%s",
+                                      "hi": "%s", "mid": "%r"}, 1) for series in _SERIES)
 _SCENARIO_MD = "| %s | %s -- %s | %s -- %s | %s -- %s | %s -- %s | %s |\n"
-_REDUCTION_ROW = """\
-    {
-      "metric": "%s",
-      "reductions": %s,
-      "increases": %s
-    }"""
-_MAP_ENTRY = """\
-        %s: [
-          %r,
-          %r
-        ]"""
+_REDUCTION_ROW = _template({"metric": "%s", "reductions": "%s", "increases": "%s"}, 2)
+_MAP_ENTRY = "        %s: " + _template(["%r", "%r"], 4).lstrip()
 
 # Below this many tenths (1e14 kWh, under 2**47) a cell's float t / 10
 # is within 1/128 of it, so no other decimal of as few digits rounds to
@@ -294,9 +271,10 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
     A cell's text, from // and %, is str of the Decimal cell; its JSON
     number is the repr of t / 10, float of the Decimal cell. In a row
     whose cells are all below _SMALL_TENTHS the two are the same text,
-    and the plot midpoints come from the tenths. The row's JSON object,
-    plot records and markdown row are each written by one template,
-    from the same cells as its CSV row.
+    and the plot midpoints come from the tenths. The row's JSON object
+    and plot records are written by templates derived from json.dumps,
+    and its markdown row by one more, from the same cells as its CSV
+    row.
     """
     ef = _dec(profile.emission_factor_g_per_kwh) / Decimal(1000)
     wue_lo = _dec(profile.wue.lo)
@@ -330,9 +308,9 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
                   "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
     md_header = ["Scenario", "Operators", "Energy (kWh/day)", "CO2 (kg/day)",
                  "Water (L/day)", "Energy per doc (kWh)"]
-    table = _render(_table_json('  "table": "scenario_table",\n', rows), [csv_header, *csv_rows],
-                    md_header, md_rows)
-    return table, "[\n" + ",\n".join(records) + "\n]\n"
+    members = ['  "table": "scenario_table"', '  "rows": ' + _block(rows, 1, "[]")]
+    table = _render(_block(members, 0) + "\n", [csv_header, *csv_rows], md_header, md_rows)
+    return table, _block(records, 0, "[]") + "\n"
 
 
 _METRICS = (("energy", "energy_kwh"), ("co2", "co2_kg"), ("water", "water_l"))
@@ -347,11 +325,6 @@ def _ratios(ratio, pointer: str, label: str, base, candidate) -> dict[str, tuple
         except ValueError as exc:
             raise ConfigError(f"{pointer}: {metric} {label}: {exc}") from None
     return out
-
-
-def _json_map(entries: list[str]) -> str:
-    """A row's map of _MAP_ENTRY texts, as json.dumps(indent=2) writes it there."""
-    return "{\n" + ",\n".join(entries) + "\n      }" if entries else "{}"
 
 
 def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> dict:
@@ -400,7 +373,8 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     for metric, _ in _METRICS:
         pcts = [(present_pct(lo), present_pct(hi)) for lo, hi in (r[metric] for r in ratios)]
         entries = [_MAP_ENTRY % (key, *pair) for key, pair in zip(json_keys, pcts)]
-        rows.append(_REDUCTION_ROW % (metric, _json_map(entries[:n]), _json_map(entries[n:])))
+        rows.append(_REDUCTION_ROW % (_quote(metric), _block(entries[:n], 3),
+                                      _block(entries[n:], 3)))
         csv_rows.append([metric, *[v for pair in pcts for v in pair]])
         cells = [metric, *[f"{lo} -- {hi}" for lo, hi in pcts[:n]]]
         cells += [f"+{lo} -- +{hi}" if lo >= 0 else f"{lo} -- {hi}" for lo, hi in pcts[n:]]
@@ -410,8 +384,9 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         csv_header += [f"{key}_vs_{baseline}_reduction_lo", f"{key}_vs_{baseline}_reduction_hi"]
     for key in steps:
         csv_header += [f"{key}_increase_lo", f"{key}_increase_hi"]
-    head = f'  "table": "reduction_table",\n  "baseline": {_quote(baseline)},\n'
-    return _render(_table_json(head, rows), [csv_header, *csv_rows], md_header, md_rows)
+    members = ['  "table": "reduction_table"', f'  "baseline": {_quote(baseline)}',
+               '  "rows": ' + _block(rows, 1, "[]")]
+    return _render(_block(members, 0) + "\n", [csv_header, *csv_rows], md_header, md_rows)
 
 
 def _token_table(ledger: TokenLedger) -> dict:
@@ -484,5 +459,7 @@ def emit_bundle_json(bundle: dict) -> str:
                ("plot_data", bundle["plot_data"])]
     if "token_table" in bundle:
         members.append(("token_table", bundle["token_table"]["json"]))
-    return "{\n" + ",\n".join(f'  "{key}": ' + text[:-1].replace("\n", "\n  ")
-                               for key, text in members) + "\n}\n"
+    # From a generator, _block's join drops its copies of the member
+    # texts before the whole text is built.
+    return _block((f'  "{key}": ' + text[:-1].replace("\n", "\n  ")
+                   for key, text in members), 0) + "\n"

@@ -568,6 +568,37 @@ def test_an_endless_device_as_text_input_is_an_input_error(tmp_path, option):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("kind", ["dir", "dev-zero"])
+@pytest.mark.parametrize("argv, message", [
+    (["scenario-compare", "--config", "PATH"], "/: file not found: PATH"),
+    (["scenario-compare", "--config", "CONFIG"], "/scenarios/0: file not found: PATH"),
+    (["usecase-run", "--ledger", "PATH"], "ledger file not found: PATH"),
+], ids=["config", "scenario-file", "ledger"])
+def test_a_json_input_that_is_no_regular_file_is_an_input_error(tmp_path, data_dir, kind,
+                                                                argv, message):
+    """PATH is a directory or /dev/zero, and CONFIG names it as its one
+    scenario file. The run refuses it before reading, which for the
+    device would never end, and names it on one line with exit 2."""
+    if kind == "dev-zero":
+        if not os.path.exists("/dev/zero"):
+            pytest.skip("no /dev/zero device")
+        path = Path("/dev/zero")
+    else:
+        path = (tmp_path / "input").resolve()
+        path.mkdir()
+    config = json.loads((data_dir / "config.json").read_text())
+    config["scenarios"] = [str(path)]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    names = {"PATH": str(path), "CONFIG": str(tmp_path / "config.json")}
+    argv = [names.get(arg, arg) for arg in argv]
+    out = tmp_path / "out"
+    proc = _run_capped([*argv, "--out", str(out)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message.replace('PATH', str(path))}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, message", [
     (["usecase-run", "--document", "HUGE"], "file too large to read: HUGE"),
     (["tokens-count", "HUGE"], "file too large to read: HUGE"),
@@ -627,6 +658,26 @@ def test_values_too_large_to_present_are_input_errors(tmp_path, data_dir, capsys
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: value too large to present: {value}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _overflowing_co2(config):
+    config["profiles"]["usecase-2025"].update(rate_wh_per_ktok=1000,
+                                             emission_factor_g_per_kwh=1e308)
+
+
+@pytest.mark.parametrize("command", ["usecase-run", "report-emit"])
+def test_a_co2_figure_past_the_float_range_is_an_input_error(tmp_path, data_dir, capsys,
+                                                              command):
+    """1e308 g/kWh times the bundled ledger's energy overflows to inf,
+    which JSON cannot hold, so nothing is written."""
+    config = _config_copy(tmp_path, data_dir, edit_config=_overflowing_co2)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--ledger", "bundled",
+                 "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: co2_g: must be finite, got inf\n"
     assert captured.out == ""
     assert not out.exists()
 

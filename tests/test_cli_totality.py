@@ -3,7 +3,8 @@
 Whatever bytes stand in the config, scenario, document, ledger or
 tokens-count file, the CLI exits 0, 2 or 3 without a traceback. Exit 2
 prints exactly one line, an `error:` line, on stderr. A second run on
-the same bytes prints and writes the same bytes. Inputs are either
+the same bytes prints and writes the same bytes, and every JSON file
+it writes parses without NaN or Infinity. Inputs are either
 random bytes or a bundled file with random bytes spliced in or one JSON
 value replaced, so both the readers and the code behind them are
 reached. The run is derandomized, so every run checks the same
@@ -97,6 +98,10 @@ _READERS = {
 }
 
 
+def _not_json(constant: str):
+    raise AssertionError(f"{constant} is not a JSON number")
+
+
 def _check_total(reader: str, raw: bytes) -> None:
     template = _READERS[reader][1]
     with tempfile.TemporaryDirectory() as tmp:
@@ -113,13 +118,16 @@ def _check_total(reader: str, raw: bytes) -> None:
             shutil.rmtree(out, ignore_errors=True)
             code, stdout, stderr = _run(argv)
             runs.append((code, stdout, stderr, _tree(out)))
-        code, _, stderr, _ = runs[0]
+        code, _, stderr, tree = runs[0]
         assert code in (0, 2, 3)
         if code == 2:
             assert stderr.startswith("error: ") and stderr.count("\n") == 1
         else:
             assert "error:" not in stderr
         assert runs[0] == runs[1]
+        for name, data in tree.items():
+            if name.endswith(".json"):
+                json.loads(data, parse_constant=_not_json)
 
 
 @pytest.mark.parametrize("reader", sorted(_READERS))
