@@ -7,10 +7,14 @@ out to grams of CO2 and liters of water through a FootprintProfile.
 
 Values are validated where they are built. Every record has a
 hand-written __init__. Most check their fields, and from_json_obj checks
-the JSON form on top. Seven only store theirs: VerificationRecord,
-Footprint, ExtractionResult, ThinkingDelta, ScenarioComparison, Config
-and Deviation; the package builds them only from values it has already
-checked. Two constructors skip __init__: pipeline._line_item, for the
+the JSON form on top. Eight only store theirs: VerificationRecord,
+Footprint, ExtractionResult, ThinkingDelta, DailyFootprint,
+ScenarioComparison, Config and Deviation; the package builds them only
+from values it has already checked. DailyFootprint, for one, is built
+only by scenarios.evaluate_scenario, from sums and products of fields
+checked to be non-negative where their records were built, so none of
+its figures is negative; Interval() reports any that overflows.
+Two constructors skip __init__: pipeline._line_item, for the
 fields the invoice parser's row grammar has already proved, and
 reporting.Config._hashed_on_read, which also keeps the canonical text
 that the config hash is taken over.
@@ -223,12 +227,9 @@ def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
     for key in required:
         if key not in obj:
             raise ValueError(f"{key}: missing required key")
-    # With every required key present, only a longer object can hold
-    # another key.
-    if len(obj) > len(required):
-        unknown = set(obj).difference(required, optional)
-        if unknown:
-            raise ValueError(f"{min(unknown)}: unknown key")
+    unknown = set(obj).difference(required, optional)
+    if unknown:
+        raise ValueError(f"{min(unknown)}: unknown key")
     fields = dict(obj)
     if kinds:
         for key, kind in kinds.items():
@@ -241,14 +242,8 @@ def _json_fields(obj, required: tuple[str, ...], optional: tuple[str, ...] = (),
             continue
         if not (isinstance(span, list) and len(span) == 2):
             raise ValueError(f"{key}: expected [lo, hi]")
-        lo, hi = span
-        # A finite float is what _require_number would return; only other
-        # endpoints pay for it and for formatting the name it may print.
-        if not (type(lo) is float and lo - lo == 0.0):
-            lo = _require_number(lo, f"{key}[0]")
-        if not (type(hi) is float and hi - hi == 0.0):
-            hi = _require_number(hi, f"{key}[1]")
-        fields[key] = Interval(lo, hi)
+        fields[key] = Interval(_require_number(span[0], f"{key}[0]"),
+                               _require_number(span[1], f"{key}[1]"))
     return fields
 
 

@@ -18,6 +18,8 @@ each entry of a reduction row's JSON maps; csv.writer writes the CSV
 rows, quoting where needed. The JSON templates are derived at import
 from json.dumps(indent=2), with placeholders where the cells go, and
 _block joins laid-out members into the objects and arrays around them.
+Each table object is one more such template, around its rows array, so
+a table's JSON text is written once.
 So json states the layout once, and the report holds the bytes
 json.dumps(indent=2) would write, without calling it per row: with
 indent set, json falls back to its pure-Python encoder.
@@ -248,6 +250,9 @@ _PLOT_RECORDS = ",\n".join(_template({"scenario": "%s", "metric": series, "lo": 
 _SCENARIO_MD = "| %s | %s -- %s | %s -- %s | %s -- %s | %s -- %s | %s |\n"
 _REDUCTION_ROW = _template({"metric": "%s", "reductions": "%s", "increases": "%s"}, 2)
 _MAP_ENTRY = "        %s: " + _template(["%r", "%r"], 4).lstrip()
+# Each table object, around the text of its rows array.
+_SCENARIO_TABLE = _template({"table": "scenario_table", "rows": "%s"}, 0) + "\n"
+_REDUCTION_TABLE = _template({"table": "reduction_table", "baseline": "%s", "rows": "%s"}, 0) + "\n"
 
 # Below this many tenths (1e14 kWh, under 2**47) a cell's float t / 10
 # is within 1/128 of it, so no other decimal of as few digits rounds to
@@ -303,13 +308,12 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
         cells = (o0, o1, *text, f"{per_doc:.6f}")
         csv_rows.append((name, *cells))
         md_rows.append(_SCENARIO_MD % (_md(name), *cells))
-    csv_header = ["scenario", "operators_lo", "operators_hi",
-                  "energy_kwh_lo", "energy_kwh_hi", "co2_kg_lo", "co2_kg_hi",
-                  "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
+    csv_header = ["scenario", "operators_lo", "operators_hi", "energy_kwh_lo", "energy_kwh_hi",
+                  "co2_kg_lo", "co2_kg_hi", "water_l_lo", "water_l_hi", "energy_per_doc_kwh"]
     md_header = ["Scenario", "Operators", "Energy (kWh/day)", "CO2 (kg/day)",
                  "Water (L/day)", "Energy per doc (kWh)"]
-    members = ['  "table": "scenario_table"', '  "rows": ' + _block(rows, 1, "[]")]
-    table = _render(_block(members, 0) + "\n", [csv_header, *csv_rows], md_header, md_rows)
+    table = _render(_SCENARIO_TABLE % _block(rows, 1, "[]"), [csv_header, *csv_rows],
+                    md_header, md_rows)
     return table, _block(records, 0, "[]") + "\n"
 
 
@@ -384,9 +388,8 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         csv_header += [f"{key}_vs_{baseline}_reduction_lo", f"{key}_vs_{baseline}_reduction_hi"]
     for key in steps:
         csv_header += [f"{key}_increase_lo", f"{key}_increase_hi"]
-    members = ['  "table": "reduction_table"', f'  "baseline": {_quote(baseline)}',
-               '  "rows": ' + _block(rows, 1, "[]")]
-    return _render(_block(members, 0) + "\n", [csv_header, *csv_rows], md_header, md_rows)
+    return _render(_REDUCTION_TABLE % (_quote(baseline), _block(rows, 1, "[]")),
+                   [csv_header, *csv_rows], md_header, md_rows)
 
 
 def _token_table(ledger: TokenLedger) -> dict:

@@ -160,16 +160,6 @@ class DailyFootprint(_Record):
     energy_per_doc_kwh: float
 
     def __init__(self, operators, energy_kwh, co2_kg, water_l, energy_per_doc_kwh):
-        if operators.lo < 0:
-            raise ValueError("operators must be non-negative")
-        if energy_kwh.lo < 0:
-            raise ValueError("energy_kwh must be non-negative")
-        if co2_kg.lo < 0:
-            raise ValueError("co2_kg must be non-negative")
-        if water_l.lo < 0:
-            raise ValueError("water_l must be non-negative")
-        if energy_per_doc_kwh < 0:
-            raise ValueError("energy_per_doc_kwh must be >= 0")
         _set_field(self, "operators", operators)
         _set_field(self, "energy_kwh", energy_kwh)
         _set_field(self, "co2_kg", co2_kg)

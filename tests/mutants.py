@@ -66,9 +66,12 @@ CATALOGUE = [
            "value = Decimal(repr(float(x)))",
            "tests/test_reporting.py::test_values_too_large_to_present_are_named_in_one_message"),
     Mutant("json-endpoint-lets-nan-through", "core",
-           "if not (type(hi) is float and hi - hi == 0.0):",
-           "if not type(hi) is float:",
+           "if type(value) is float and value - value == 0.0:",
+           "if type(value) is float:",
            "tests/test_core.py::test_validation_outcomes_match_the_pinned_digest"),
+    Mutant("energy-low-subtracts-cloud", "scenarios",
+           "(ops_lo * laptop + cloud) + overhead", "(ops_lo * laptop - cloud) + overhead",
+           "tests/test_properties.py::test_computed_intervals_are_trusted"),
     Mutant("operators-low-floored", "scenarios",
            "lo = math.ceil(s.daily_volume / tp_hi * w.buffer)",
            "lo = math.floor(s.daily_volume / tp_hi * w.buffer)",

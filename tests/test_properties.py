@@ -177,7 +177,8 @@ def _assert_trusted(iv):
 
 
 def run_trusted_results_suite(cases=2_000, seed=SEED):
-    """Every interval the scenario layer computes is one Interval() accepts."""
+    """Every interval the scenario layer computes is one Interval() accepts,
+    and every footprint figure is non-negative."""
     rng = random.Random(seed)
     previous = None
     for _ in range(cases):
@@ -193,6 +194,8 @@ def run_trusted_results_suite(cases=2_000, seed=SEED):
         for fp in (base, candidate):
             for iv in (fp.operators, fp.energy_kwh, fp.co2_kg, fp.water_l):
                 _assert_trusted(iv)
+                assert iv.lo >= 0, (fp, iv)
+            assert fp.energy_per_doc_kwh >= 0, fp
         if base.energy_kwh.lo > 0:
             comparison = compare_scenarios(base, candidate)
             for iv in (comparison.energy_reduction_pct, comparison.co2_reduction_pct,
