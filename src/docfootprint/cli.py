@@ -32,6 +32,7 @@ from .pipeline import (
 from .reporting import (
     FORMATS,
     TABLES,
+    _read_regular,
     build_bundle,
     emit_bundle_json,
     emit_plot_data,
@@ -57,14 +58,15 @@ def _write(out_dir: Path, filename: str, text: str) -> None:
 def _read_text(path: Path) -> str:
     # Only a regular file: a directory or a device such as /dev/zero is
     # no text input, and reading the device would never end.
-    if not path.is_file():
-        raise ValueError(f"file not found: {path}")
     try:
-        return path.read_text(encoding="utf-8")
+        text = _read_regular(path)
     except UnicodeDecodeError as exc:
         raise ValueError(f"bad text file {path}: {exc}") from None
     except MemoryError:
         raise ValueError(f"file too large to read: {path}") from None
+    if text is None:
+        raise ValueError(f"file not found: {path}")
+    return text
 
 
 def _token_arg(text: str) -> int | str:
@@ -107,15 +109,15 @@ def _resolve_ledger(value: str | None) -> TokenLedger | None:
     if value is None:
         return None
     path = FIXTURES_DIR / "ledger.json" if value == "bundled" else Path(value)
-    if not path.is_file():
-        raise ValueError(f"ledger file not found: {path}")
     try:
-        obj = json.loads(path.read_text(encoding="utf-8"))
-        return TokenLedger.from_json_obj(obj)
+        text = _read_regular(path)
+        if text is not None:
+            return TokenLedger.from_json_obj(json.loads(text))
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"bad ledger file {path}: {exc}") from None
     except MemoryError:
         raise ValueError(f"ledger file too large to read: {path}") from None
+    raise ValueError(f"ledger file not found: {path}")
 
 
 def _profile_from(config, name: str | None, default_binding: str):

@@ -24,6 +24,17 @@ So json states the layout once, and the report holds the bytes
 json.dumps(indent=2) would write, without calling it per row: with
 indent set, json falls back to its pure-Python encoder.
 
+Config, scenario, document, prompt and ledger files are read by
+_read_regular: one stat, and only for a regular file one open and one
+read of the size the stat gave. The stat comes first because opening a
+FIFO blocks until a writer comes, and opening a device can act; a
+directory or a device is "file not found", as Path.is_file() has it.
+Which stat errors also read as "file not found" follows the running
+Python's is_file(): up to 3.12 only ENOENT, ENOTDIR, EBADF and ELOOP
+(others, such as a name too long, propagate); from 3.13 every OSError.
+Line endings are translated as Path.read_text() translates them, since
+the line and column of a JSON error message count the translated text.
+
 The config hash is the SHA-256 of the canonical JSON text of a config
 and its scenario files. load_config keeps that text, and the hash is
 computed the first time Config.config_hash is read, which only bundle
@@ -32,12 +43,16 @@ JSON does; so commands that print no bundle never import hashlib.
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+import os
 import re
+import sys
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from stat import S_ISREG
 
 from .core import FootprintProfile, _half_up, _json_fields, _Record, _set_field
 from .pipeline import ExtractionResult, TokenLedger, ledger_shares
@@ -118,15 +133,59 @@ class Config(_Record):
         return digest
 
 
-def _load_json(path: Path, pointer: str) -> object:
+# The stat errnos that Path.is_file() reads as "no such file". From
+# Python 3.13 is_file() is os.path.isfile(), which reads every OSError so.
+_MISSING_ERRNOS = (None if sys.version_info >= (3, 13)
+                   else (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+
+
+def _read_regular(path) -> str | None:
+    """Path(path).read_text(encoding="utf-8"), or None where
+    Path(path).is_file() is False on the running Python.
+
+    After the stat, the first read asks for the size it gave plus a
+    byte, and reads go on to the end of the file.
+    """
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        st = os.stat(path)
+    except OSError as exc:
+        if _MISSING_ERRNOS is not None and exc.errno not in _MISSING_ERRNOS:
+            raise
+        return None
+    except ValueError:
+        # A NUL in the name, or a name the file system encoding cannot hold.
+        return None
+    if not S_ISREG(st.st_mode):
+        return None
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = [os.read(fd, st.st_size + 1)]
+        # Small enough that the last, empty read takes its buffer from the
+        # small-object allocator rather than growing the heap.
+        while chunk := os.read(fd, 256):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
+
+
+def _load_json(path: Path, pointer: str, absolute: bool) -> object:
+    """The JSON value in the regular file at path. A missing file is
+    named by its absolute path if absolute is true, else as given."""
+    try:
+        text = _read_regular(path)
+        if text is not None:
+            return json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bytes that are not UTF-8 and integers too long
         # to convert, as well as JSON syntax errors.
         raise ConfigError(f"{pointer}: invalid JSON: {exc}") from None
     except MemoryError:
         raise ConfigError(f"{pointer}: file too large to read: {path}") from None
+    raise ConfigError(f"{pointer}: file not found: {path.resolve() if absolute else path}")
 
 
 def load_config(path: str | Path) -> Config:
@@ -136,9 +195,7 @@ def load_config(path: str | Path) -> Config:
     JSON-pointer of the offending element.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"/: file not found: {path}")
-    raw = _load_json(path, "/")
+    raw = _load_json(path, "/", False)
     if not isinstance(raw, dict):
         raise ConfigError("/: expected a JSON object")
     try:
@@ -166,10 +223,7 @@ def load_config(path: str | Path) -> Config:
     for i, ref in enumerate(raw["scenarios"]):
         if not isinstance(ref, str):
             raise ConfigError(f"/scenarios/{i}: expected a file path string")
-        scenario_path = path.parent / ref
-        if not scenario_path.is_file():
-            raise ConfigError(f"/scenarios/{i}: file not found: {scenario_path.resolve()}")
-        scenario_raw = _load_json(scenario_path, f"/scenarios/{i}")
+        scenario_raw = _load_json(path.parent / ref, f"/scenarios/{i}", True)
         scenario_raws.append(scenario_raw)
         try:
             scenario = Scenario.from_json_obj(scenario_raw)

@@ -201,12 +201,17 @@ def cloud_energy_per_doc(stages: list[PipelineStage] | tuple[PipelineStage, ...]
     Stage energies are facility-side figures and are summed as given;
     a stage defined from an IT-side number should be expanded with
     apply_pue before it is put in a stage list. Summation is done in
-    decimal so that stage order can never perturb the result.
+    decimal so that stage order can never perturb the result. A sum past
+    the float range is a ValueError naming the stages.
     """
     if not stages:
         return 0.0
     total_wh = sum([Decimal(repr(s.energy_wh_per_doc)) for s in stages])
-    return float(total_wh / _WH_PER_KWH)
+    # float() of a Decimal past the float range gives inf, not an error.
+    total = float(total_wh / _WH_PER_KWH)
+    if total == math.inf:
+        raise ValueError("stages: summed energy_wh_per_doc overflows the float range")
+    return total
 
 
 def evaluate_scenario(s: Scenario, profile: FootprintProfile) -> DailyFootprint:

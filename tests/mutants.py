@@ -77,9 +77,8 @@ CATALOGUE = [
            "lo = math.floor(s.daily_volume / tp_hi * w.buffer)",
            "tests/test_scenarios.py::test_evaluate_and_compare_match_the_composed_formulas"),
     Mutant("stage-sum-in-floats", "scenarios",
-           "total_wh = sum([Decimal(repr(s.energy_wh_per_doc)) for s in stages])\n"
-           "    return float(total_wh / _WH_PER_KWH)",
-           "return sum(s.energy_wh_per_doc for s in stages) / 1000.0",
+           "total = float(total_wh / _WH_PER_KWH)",
+           "total = sum(s.energy_wh_per_doc for s in stages) / 1000.0",
            "tests/test_scenarios.py::test_cloud_energy_per_doc_order_independent"),
     Mutant("stage-fast-path-any-size", "scenarios",
            "type(raw) is dict and len(raw) == 2 and", "type(raw) is dict and",
@@ -111,8 +110,18 @@ CATALOGUE = [
            "co2 = co2_from_energy(kwh, profile.emission_factor_g_per_kwh)",
            "tests/test_cli.py::test_a_co2_figure_past_the_float_range_is_an_input_error"),
     Mutant("scenario-file-read-unchecked", "reporting",
-           "        if not scenario_path.is_file():\n", "        if not scenario_path.exists():\n",
+           "if not S_ISREG(st.st_mode):", "if False:",
            "tests/test_cli.py::test_a_json_input_that_is_no_regular_file_is_an_input_error"),
+    Mutant("reader-skips-newline-translation", "reporting",
+           '    if "\\r" in text:\n'
+           '        text = text.replace("\\r\\n", "\\n").replace("\\r", "\\n")\n', "",
+           "tests/test_reporting.py::test_load_config_reads_scenario_files_as_before"),
+    # Equivalent from Python 3.13, where is_file() itself swallows every
+    # stat error; the catalogue is run on 3.11.
+    Mutant("reader-swallows-every-stat-error", "reporting",
+           "if _MISSING_ERRNOS is not None and exc.errno not in _MISSING_ERRNOS:",
+           "if False:",
+           "tests/test_reporting.py::test_read_regular_matches_is_file_and_read_text"),
     Mutant("negative-percent-rounds-up", "reporting",
            "(t + 5) // 10 if t >= 0 else -((5 - t) // 10)", "(t + 5) // 10",
            "tests/test_reporting.py::"

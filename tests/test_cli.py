@@ -559,16 +559,23 @@ def _run_capped(argv):
 @pytest.mark.parametrize("option", ["--document", "--prompt"])
 def test_an_endless_device_as_text_input_is_an_input_error(tmp_path, option):
     """Reading /dev/zero never ends; under a 256 MB address-space cap it
-    ends in a MemoryError, so the run must refuse it before reading."""
+    ends in a MemoryError, so the run must refuse it before reading.
+    Opening a FIFO with no writer blocks, so the run must refuse one
+    before opening it."""
+    inputs = ["/dev/zero"]
+    if hasattr(os, "mkfifo"):
+        os.mkfifo(tmp_path / "fifo")
+        inputs.append(str(tmp_path / "fifo"))
     out = tmp_path / "out"
-    proc = _run_capped(["usecase-run", option, "/dev/zero", "--out", str(out)])
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr == "error: file not found: /dev/zero\n"
-    assert not out.exists()
+    for path in inputs:
+        proc = _run_capped(["usecase-run", option, path, "--out", str(out)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: file not found: {path}\n"
+        assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["dir", "dev-zero"])
+@pytest.mark.parametrize("kind", ["dir", "dev-zero", "fifo"])
 @pytest.mark.parametrize("argv, message", [
     (["scenario-compare", "--config", "PATH"], "/: file not found: PATH"),
     (["scenario-compare", "--config", "CONFIG"], "/scenarios/0: file not found: PATH"),
@@ -576,13 +583,19 @@ def test_an_endless_device_as_text_input_is_an_input_error(tmp_path, option):
 ], ids=["config", "scenario-file", "ledger"])
 def test_a_json_input_that_is_no_regular_file_is_an_input_error(tmp_path, data_dir, kind,
                                                                 argv, message):
-    """PATH is a directory or /dev/zero, and CONFIG names it as its one
-    scenario file. The run refuses it before reading, which for the
-    device would never end, and names it on one line with exit 2."""
+    """PATH is a directory, /dev/zero or a FIFO, and CONFIG names it as
+    its one scenario file. The run refuses it before reading, which for
+    the device would never end, and before opening, which for the FIFO
+    would block; it names it on one line with exit 2."""
     if kind == "dev-zero":
         if not os.path.exists("/dev/zero"):
             pytest.skip("no /dev/zero device")
         path = Path("/dev/zero")
+    elif kind == "fifo":
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no FIFOs on this platform")
+        path = (tmp_path / "input").resolve()
+        os.mkfifo(path)
     else:
         path = (tmp_path / "input").resolve()
         path.mkdir()
@@ -678,6 +691,23 @@ def test_a_co2_figure_past_the_float_range_is_an_input_error(tmp_path, data_dir,
                  "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: co2_g: must be finite, got inf\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("volume", [0, 10])
+def test_a_stage_energy_sum_past_the_float_range_is_an_input_error(tmp_path, data_dir, capsys,
+                                                                    volume):
+    def overflowing_stages(manual):
+        manual.update(daily_volume=volume, stages=[
+            {"name": f"s{i}", "energy_wh_per_doc": 1.7e308} for i in range(2000)])
+
+    config = _config_copy(tmp_path, data_dir, edit_manual=overflowing_stages)
+    out = tmp_path / "out"
+    assert main(["scenario-compare", "--config", str(config), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: /scenarios/0: stages: summed energy_wh_per_doc "
+                            "overflows the float range\n")
     assert captured.out == ""
     assert not out.exists()
 

@@ -2,9 +2,12 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import random
 import re
 import shutil
+import sys
+import threading
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
 import pytest
@@ -22,11 +25,12 @@ from docfootprint import (
     evaluate_scenario,
     ledger_shares,
     load_config,
+    reporting,
     run_pipeline,
     thinking_delta,
 )
 from docfootprint.core import _half_up
-from docfootprint.reporting import present, present_pct
+from docfootprint.reporting import _read_regular, present, present_pct
 
 
 @pytest.fixture(scope="module")
@@ -364,6 +368,118 @@ def test_scenario_refs_resolve_as_before(tmp_path, data_dir):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert str(exc.value) == f"/scenarios/1: file not found: {missing}"
+
+
+def _read_outcome(read, path):
+    try:
+        return read(path)
+    except (OSError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _pathlib_read(path):
+    return path.read_text(encoding="utf-8") if path.is_file() else None
+
+
+_READ_CASES = {
+    "empty": b"",
+    "crlf": b'{\r\n  "a": 1\r\n}\r\n',
+    "lone-cr": b"a\rb\r\nc\n",
+    "cr-last": b"abc\r",
+    "bom": b"\xef\xbb\xbf{}",
+    "bad-utf8-start": b"\xff{}",
+    "bad-utf8-middle": b"ab\r\ncd\xc3(ef",
+    "bad-utf8-after-cr": b"ab\r\xff",
+    "large": b"x\r\n" * 40000,
+}
+
+
+def test_read_regular_matches_is_file_and_read_text(tmp_path):
+    """The reader gives the text read_text gives, or None where is_file
+    is False on the running Python, or the same exception type and
+    message."""
+    paths = []
+    for name, data in _READ_CASES.items():
+        (tmp_path / name).write_bytes(data)
+        paths.append(tmp_path / name)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "dangling").symlink_to(tmp_path / "absent")
+    (tmp_path / "loop-a").symlink_to(tmp_path / "loop-b")
+    (tmp_path / "loop-b").symlink_to(tmp_path / "loop-a")
+    paths += [tmp_path / name for name in ("absent", "dir", "dangling", "loop-a")]
+    # Through a regular file (ENOTDIR), a NUL in the name, a name too long.
+    paths += [tmp_path / "empty" / "x", tmp_path / "a\0b", tmp_path / ("x" * 300)]
+    for path in paths:
+        expected = _read_outcome(_pathlib_read, path)
+        assert _read_outcome(_read_regular, path) == expected, path
+    assert _read_outcome(_read_regular, tmp_path / "crlf") == '{\n  "a": 1\n}\n'
+    # Up to Python 3.12 is_file() lets ENAMETOOLONG through; from 3.13 it
+    # is os.path.isfile(), which reads every stat error as "no such file".
+    too_long = _read_outcome(_read_regular, tmp_path / ("x" * 300))
+    if sys.version_info >= (3, 13):
+        assert too_long is None
+    else:
+        assert too_long[0] is OSError and "File name too long" in too_long[1]
+    if not hasattr(os, "mkfifo"):
+        return
+    # Opening a FIFO with no writer blocks, so the reader must stat it
+    # first; a reader still blocked after 10 s is released by a writer.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    outcome = []
+    reader = threading.Thread(target=lambda: outcome.append(_read_outcome(_read_regular, fifo)))
+    reader.start()
+    reader.join(10)
+    blocked = reader.is_alive()
+    if blocked:
+        os.close(os.open(fifo, os.O_WRONLY))
+        reader.join(10)
+    assert not blocked
+    assert outcome == [_pathlib_read(fifo)] == [None]
+
+
+def test_read_regular_reads_stat_errors_as_os_path_isfile_does(tmp_path, monkeypatch):
+    """With the errno list unset, as from Python 3.13, every stat error
+    is "no such file", as os.path.isfile() has it."""
+    monkeypatch.setattr(reporting, "_MISSING_ERRNOS", None)
+    (tmp_path / "f").write_bytes(b"a\r\nb")
+    paths = [tmp_path / "f", tmp_path / "f" / "x", tmp_path / "absent", tmp_path / ("x" * 300)]
+    for path in paths:
+        expected = path.read_text(encoding="utf-8") if os.path.isfile(path) else None
+        assert _read_regular(path) == expected, path
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def test_load_config_reads_scenario_files_as_before(tmp_path, data_dir):
+    """A CRLF file's JSON error gives the line and column of the text with
+    its line endings translated; a reference with a trailing slash still
+    loads; a file that fails to decode or parse leaves no descriptor open."""
+    raw = json.loads((data_dir / "config.json").read_text())
+    shutil.copytree(data_dir / "scenarios", tmp_path / "scenarios")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**raw, "scenarios": [f"{ref}/" for ref in raw["scenarios"]]}))
+    assert load_config(path).scenarios == load_config(data_dir / "config.json").scenarios
+
+    path.write_text(json.dumps({**raw, "scenarios": ["s0.json"]}))
+    scenario = tmp_path / "s0.json"
+    scenario.write_bytes(b'{\r\n  "name": "x",\r\n  "daily_volume": 1,,\r\n'
+                         b'  "workforce": {}\r\n}\r\n')
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    assert str(exc.value) == ("/scenarios/0: invalid JSON: Expecting property name enclosed "
+                              "in double quotes: line 3 column 21 (char 37)")
+
+    has_fds = os.path.isdir("/proc/self/fd")
+    before = _open_fds() if has_fds else None
+    for data in (b'{"name": "\xff"}', b'{"name": '):
+        scenario.write_bytes(data)
+        with pytest.raises(ConfigError, match="^/scenarios/0: invalid JSON: "):
+            load_config(path)
+    if has_fds:
+        assert _open_fds() == before
 
 
 def test_load_config_scenario_pointer(tmp_path, data_dir):

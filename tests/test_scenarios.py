@@ -113,6 +113,19 @@ def test_cloud_energy_per_doc():
     assert cloud_energy_per_doc([]) == 0.0
 
 
+@pytest.mark.parametrize("volume", [0, 10])
+def test_a_stage_energy_sum_past_the_float_range_names_the_stages(flash, volume):
+    """2,000 stages of 1.7e308 Wh sum to 3.4e308 kWh, past the float range;
+    the error names the stages at any volume, not the inf or nan an
+    energy endpoint would get from it."""
+    stages = tuple(PipelineStage(f"s{i}", 1.7e308) for i in range(2000))
+    scenario = Scenario(name="s", daily_volume=volume, workforce=_hitl_workforce(),
+                        stages=stages)
+    with pytest.raises(ValueError) as exc:
+        evaluate_scenario(scenario, flash)
+    assert str(exc.value) == "stages: summed energy_wh_per_doc overflows the float range"
+
+
 def test_cloud_energy_per_doc_order_independent():
     stages = [PipelineStage("a", 0.545), PipelineStage("b", 0.3), PipelineStage("c", 0.5)]
     assert cloud_energy_per_doc(stages) == cloud_energy_per_doc(list(reversed(stages)))
