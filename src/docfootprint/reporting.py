@@ -29,9 +29,9 @@ _read_regular: one stat, and only for a regular file one open and one
 read of the size the stat gave. The stat comes first because opening a
 FIFO blocks until a writer comes, and opening a device can act; a
 directory or a device is "file not found", as Path.is_file() has it.
-Which stat errors also read as "file not found" follows the running
-Python's is_file(): up to 3.12 only ENOENT, ENOTDIR, EBADF and ELOOP
-(others, such as a name too long, propagate); from 3.13 every OSError.
+On every Python, a stat error reads as "file not found" only for
+ENOENT, ENOTDIR, EBADF and ELOOP, the errnos is_file() ignores up to
+3.12; any other, such as a name too long, propagates with the OS's text.
 Line endings are translated as Path.read_text() translates them, since
 the line and column of a JSON error message count the translated text.
 
@@ -48,7 +48,6 @@ import io
 import json
 import os
 import re
-import sys
 from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -133,15 +132,14 @@ class Config(_Record):
         return digest
 
 
-# The stat errnos that Path.is_file() reads as "no such file". From
-# Python 3.13 is_file() is os.path.isfile(), which reads every OSError so.
-_MISSING_ERRNOS = (None if sys.version_info >= (3, 13)
-                   else (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP))
+# The stat errnos that read as "no such file".
+_MISSING_ERRNOS = (errno.ENOENT, errno.ENOTDIR, errno.EBADF, errno.ELOOP)
 
 
 def _read_regular(path) -> str | None:
-    """Path(path).read_text(encoding="utf-8"), or None where
-    Path(path).is_file() is False on the running Python.
+    """Path(path).read_text(encoding="utf-8"), or None where the path is
+    no regular file, or its stat fails with one of _MISSING_ERRNOS or
+    with a ValueError.
 
     After the stat, the first read asks for the size it gave plus a
     byte, and reads go on to the end of the file.
@@ -149,7 +147,7 @@ def _read_regular(path) -> str | None:
     try:
         st = os.stat(path)
     except OSError as exc:
-        if _MISSING_ERRNOS is not None and exc.errno not in _MISSING_ERRNOS:
+        if exc.errno not in _MISSING_ERRNOS:
             raise
         return None
     except ValueError:
@@ -172,9 +170,20 @@ def _read_regular(path) -> str | None:
     return text
 
 
+def _pointed(prefix: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError re-raised as a ConfigError
+    whose message is prefix (a JSON pointer) followed by the error's text."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}") from None
+
+
 def _load_json(path: Path, pointer: str, absolute: bool) -> object:
     """The JSON value in the regular file at path. A missing file is
-    named by its absolute path if absolute is true, else as given."""
+    named by its absolute path if absolute is true, else as given. A
+    path that os.path.realpath cannot take, such as one holding a NUL,
+    gives realpath's error after the pointer instead."""
     try:
         text = _read_regular(path)
         if text is not None:
@@ -185,7 +194,9 @@ def _load_json(path: Path, pointer: str, absolute: bool) -> object:
         raise ConfigError(f"{pointer}: invalid JSON: {exc}") from None
     except MemoryError:
         raise ConfigError(f"{pointer}: file too large to read: {path}") from None
-    raise ConfigError(f"{pointer}: file not found: {path.resolve() if absolute else path}")
+    if absolute:
+        path = _pointed(f"{pointer}: ", os.path.realpath, path)
+    raise ConfigError(f"{pointer}: file not found: {path}")
 
 
 def load_config(path: str | Path) -> Config:
@@ -198,20 +209,15 @@ def load_config(path: str | Path) -> Config:
     raw = _load_json(path, "/", False)
     if not isinstance(raw, dict):
         raise ConfigError("/: expected a JSON object")
-    try:
-        _json_fields(raw, ("profiles", "scenario_profile", "usecase_profile", "scenarios"),
-                     kinds={"scenario_profile": str, "usecase_profile": str, "scenarios": list})
-    except ValueError as exc:
-        raise ConfigError(f"/{exc}") from None
+    _pointed("/", _json_fields, raw, ("profiles", "scenario_profile", "usecase_profile",
+                                      "scenarios"),
+             kinds={"scenario_profile": str, "usecase_profile": str, "scenarios": list})
 
     if not isinstance(raw["profiles"], dict) or not raw["profiles"]:
         raise ConfigError("/profiles: expected a non-empty object")
     profiles = {}
     for name, obj in raw["profiles"].items():
-        try:
-            profiles[name] = FootprintProfile.from_json_obj(name, obj)
-        except ValueError as exc:
-            raise ConfigError(f"/profiles/{name}: {exc}") from None
+        profiles[name] = _pointed(f"/profiles/{name}: ", FootprintProfile.from_json_obj, name, obj)
 
     for key in ("scenario_profile", "usecase_profile"):
         if raw[key] not in profiles:
@@ -225,10 +231,7 @@ def load_config(path: str | Path) -> Config:
             raise ConfigError(f"/scenarios/{i}: expected a file path string")
         scenario_raw = _load_json(path.parent / ref, f"/scenarios/{i}", True)
         scenario_raws.append(scenario_raw)
-        try:
-            scenario = Scenario.from_json_obj(scenario_raw)
-        except ValueError as exc:
-            raise ConfigError(f"/scenarios/{i}: {exc}") from None
+        scenario = _pointed(f"/scenarios/{i}: ", Scenario.from_json_obj, scenario_raw)
         if scenario.name in seen:
             raise ConfigError(f"/scenarios/{i}: duplicate scenario name {scenario.name!r}")
         seen.add(scenario.name)
@@ -257,10 +260,7 @@ def build_bundle(config: Config, baseline: str,
     profile = config.profiles[config.scenario_profile]
     footprints = {}
     for i, s in enumerate(config.scenarios):
-        try:
-            footprints[s.name] = evaluate_scenario(s, profile)
-        except ValueError as exc:
-            raise ConfigError(f"/scenarios/{i}: {exc}") from None
+        footprints[s.name] = _pointed(f"/scenarios/{i}: ", evaluate_scenario, s, profile)
     # Reductions first, so a zero baseline is reported before any
     # presentation step runs.
     bundle = {"config": config,
@@ -389,47 +389,53 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     """Reductions of every other scenario against the baseline, and the
     increase of each of those scenarios over the one before it.
 
+    The table is one list of columns, reductions then increases. Each
+    column holds the scenario it belongs to (an increase column belongs
+    to the later scenario of its pair), its JSON key, the suffix that
+    makes that key the stem of its CSV keys, its markdown header and its
+    per-metric ratios; the JSON maps, the CSV and markdown headers and
+    the repeated-header check all read that list. The suffix is one
+    string per kind of column, so no stem is held while the rows are
+    written.
+
     Every ratio is computed before any is presented, so a zero baseline
     is reported ahead of a presentation failure. Each metric row's
-    percent pairs are presented once, reductions then increases, and
-    its JSON maps, CSV row and markdown row are written from them; a
-    map with no pair is {}. A repeated increase key or markdown header
-    is a ConfigError naming the later scenario, since a reader could
-    not tell the columns apart.
+    percent pairs are presented once, and its JSON maps, CSV row and
+    markdown row are written from them; a map with no pair is {}. A
+    repeated increase key or markdown header is a ConfigError naming
+    the later scenario, since a reader could not tell the columns apart.
     """
     pointers = {name: f"/scenarios/{i}" for i, name in enumerate(footprints)}
-    reduction_keys = [n for n in footprints if n != baseline]
-    comparisons = [_ratios(_reduction, pointers[n], f"reduction vs {baseline}",
-                           footprints[baseline], footprints[n])
-                   for n in reduction_keys]
-    steps = {}
-    for a, b in zip(reduction_keys, reduction_keys[1:]):
+    others = [n for n in footprints if n != baseline]
+    # The baseline's texts, the same in every reduction column.
+    md_baseline, reduction = _md(baseline), f"_vs_{baseline}_reduction"
+    columns = [(n, n, reduction, f"{_md(n)} vs {md_baseline} (reduction %)",
+                _ratios(_reduction, pointers[n], f"reduction vs {baseline}",
+                        footprints[baseline], footprints[n]))
+               for n in others]
+    n, keys = len(columns), set()
+    for a, b in zip(others, others[1:]):
         key = f"{b}_vs_{a}"
-        if key in steps:
+        if key in keys:
             raise ConfigError(f"{pointers[b]}: increase column {key!r} repeats an earlier one")
-        steps[key] = _ratios(_increase, pointers[b], f"increase vs {a}",
-                             footprints[a], footprints[b])
-    md = {name: _md(name) for name in footprints}
-    md_header = ["Metric"]
-    md_header += [f"{md[key]} vs {md[baseline]} (reduction %)" for key in reduction_keys]
-    # _md leaves every _vs_ as it is, so replacing them after it gives
-    # the same text; the replace runs over the whole key because a _vs_
-    # can straddle the join.
-    md_header += [f"{md[b]}_vs_{md[a]}".replace("_vs_", " vs ") + " (increase %)"
-                  for a, b in zip(reduction_keys, reduction_keys[1:])]
+        keys.add(key)
+        # _md leaves every _vs_ as it is, so replacing them after it gives
+        # the same text; the replace runs over the whole key because a _vs_
+        # can straddle the join.
+        header = f"{_md(b)}_vs_{_md(a)}".replace("_vs_", " vs ") + " (increase %)"
+        columns.append((b, key, "_increase", header,
+                        _ratios(_increase, pointers[b], f"increase vs {a}",
+                                footprints[a], footprints[b])))
     seen = set()
-    # Each reduction column belongs to its scenario, each increase column
-    # to the later scenario of its pair.
-    for header, owner in zip(md_header[1:], [*reduction_keys, *reduction_keys[1:]]):
+    for owner, _, _, header, _ in columns:
         if header in seen:
             raise ConfigError(f"{pointers[owner]}: markdown header {header!r} repeats an earlier one")
         seen.add(header)
-    n = len(reduction_keys)
-    ratios = [*comparisons, *steps.values()]
-    json_keys = [_quote(key) for key in (*reduction_keys, *steps)]
+    json_keys = [_quote(key) for _, key, _, _, _ in columns]
     rows, csv_rows, md_rows = [], [], []
     for metric, _ in _METRICS:
-        pcts = [(present_pct(lo), present_pct(hi)) for lo, hi in (r[metric] for r in ratios)]
+        pcts = [(present_pct(lo), present_pct(hi))
+                for lo, hi in (r[metric] for _, _, _, _, r in columns)]
         entries = [_MAP_ENTRY % (key, *pair) for key, pair in zip(json_keys, pcts)]
         rows.append(_REDUCTION_ROW % (_quote(metric), _block(entries[:n], 3),
                                       _block(entries[n:], 3)))
@@ -437,13 +443,10 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         cells = [metric, *[f"{lo} -- {hi}" for lo, hi in pcts[:n]]]
         cells += [f"+{lo} -- +{hi}" if lo >= 0 else f"{lo} -- {hi}" for lo, hi in pcts[n:]]
         md_rows.append("| " + " | ".join(cells) + " |\n")
-    csv_header = ["metric"]
-    for key in reduction_keys:
-        csv_header += [f"{key}_vs_{baseline}_reduction_lo", f"{key}_vs_{baseline}_reduction_hi"]
-    for key in steps:
-        csv_header += [f"{key}_increase_lo", f"{key}_increase_hi"]
+    csv_header = ["metric", *[f"{key}{suffix}_{end}" for _, key, suffix, _, _ in columns
+                              for end in ("lo", "hi")]]
     return _render(_REDUCTION_TABLE % (_quote(baseline), _block(rows, 1, "[]")),
-                   [csv_header, *csv_rows], md_header, md_rows)
+                   [csv_header, *csv_rows], ["Metric", *[h for _, _, _, h, _ in columns]], md_rows)
 
 
 def _token_table(ledger: TokenLedger) -> dict:

@@ -116,12 +116,16 @@ CATALOGUE = [
            '    if "\\r" in text:\n'
            '        text = text.replace("\\r\\n", "\\n").replace("\\r", "\\n")\n', "",
            "tests/test_reporting.py::test_load_config_reads_scenario_files_as_before"),
-    # Equivalent from Python 3.13, where is_file() itself swallows every
-    # stat error; the catalogue is run on 3.11.
     Mutant("reader-swallows-every-stat-error", "reporting",
-           "if _MISSING_ERRNOS is not None and exc.errno not in _MISSING_ERRNOS:",
-           "if False:",
+           "if exc.errno not in _MISSING_ERRNOS:", "if False:",
            "tests/test_reporting.py::test_read_regular_matches_is_file_and_read_text"),
+    Mutant("reader-stops-at-stat-size", "reporting",
+           "        while chunk := os.read(fd, 256):\n"
+           "            chunks.append(chunk)\n", "",
+           "tests/test_reporting.py::test_read_regular_reads_past_the_size_its_stat_gave"),
+    Mutant("pointer-dropped", "reporting",
+           'raise ConfigError(f"{prefix}{exc}") from None', "raise ConfigError(str(exc)) from None",
+           "tests/test_reporting.py::test_load_config_rejects_low_pue"),
     Mutant("negative-percent-rounds-up", "reporting",
            "(t + 5) // 10 if t >= 0 else -((5 - t) // 10)", "(t + 5) // 10",
            "tests/test_reporting.py::"
@@ -144,6 +148,9 @@ CATALOGUE = [
     Mutant("empty-map-as-array", "reporting",
            "if text else brackets", 'if text else "[]"',
            "tests/test_reporting.py::test_json_texts_are_canonical_indent_2"),
+    Mutant("increase-column-owned-by-earlier-scenario", "reporting",
+           'columns.append((b, key, "_increase"', 'columns.append((a, key, "_increase"',
+           "tests/test_reporting.py::test_repeated_markdown_header_names_the_later_scenario"),
     Mutant("template-one-level-shallow", "reporting",
            'return "  " * depth + text.replace("\\n", "\\n" + "  " * depth)',
            'return "  " * (depth - 1) + text.replace("\\n", "\\n" + "  " * (depth - 1))',

@@ -439,6 +439,33 @@ def test_repeated_increase_column_writes_nothing(tmp_path, data_dir, capsys, fmt
     assert not out.exists()
 
 
+@pytest.mark.parametrize("ref, message", [
+    ("loop", "file not found: LOOP"),
+    ("a\0b", "embedded null byte"),
+    ("\ud800x", "'utf-8' codec can't encode character '\\ud800' in position POS: "
+                "surrogates not allowed"),
+], ids=["symlink-loop", "nul", "lone-surrogate"])
+def test_a_scenario_ref_with_no_file_is_an_input_error(tmp_path, data_dir, capsys, ref,
+                                                       message):
+    """A symlink loop, or a name the file system cannot hold, as the one
+    scenario file: one error line after the pointer, exit 2, nothing
+    written. POS is where the name starts in the absolute path."""
+    (tmp_path / "loop").symlink_to(tmp_path / "loop2")
+    (tmp_path / "loop2").symlink_to(tmp_path / "loop")
+    config = json.loads((data_dir / "config.json").read_text())
+    config["scenarios"] = [ref]
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert main(["scenario-compare", "--config", str(tmp_path / "config.json"),
+                 "--out", str(out)]) == 2
+    loop = os.path.join(os.path.realpath(tmp_path), "loop")
+    message = message.replace("LOOP", loop).replace("POS", str(len(loop) - len("loop")))
+    captured = capsys.readouterr()
+    assert captured.err == f"error: /scenarios/0: {message}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv, prefix", [
     (["scenario-compare", "--config"], "error: /: invalid JSON: "),
     (["usecase-run", "--ledger"], "error: bad ledger file "),

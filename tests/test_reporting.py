@@ -6,7 +6,6 @@ import os
 import random
 import re
 import shutil
-import sys
 import threading
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
 
@@ -345,6 +344,29 @@ def test_load_config_missing_scenario_file(tmp_path, data_dir):
         load_config(path)
 
 
+@pytest.mark.parametrize("ref, message", [
+    ("loop", "file not found: LOOP"),
+    ("a\0b", "embedded null byte"),
+    ("\ud800x", "'utf-8' codec can't encode character '\\ud800' in position POS: "
+                "surrogates not allowed"),
+], ids=["symlink-loop", "nul", "lone-surrogate"])
+def test_a_scenario_ref_with_no_file_is_named_by_its_pointer(tmp_path, data_dir, ref, message):
+    """A symlink loop is named by its absolute path; a name the file
+    system cannot hold, by the error it gives, after the pointer. POS
+    is where the name starts in the absolute path."""
+    (tmp_path / "loop").symlink_to(tmp_path / "loop2")
+    (tmp_path / "loop2").symlink_to(tmp_path / "loop")
+    raw = json.loads((data_dir / "config.json").read_text())
+    raw["scenarios"] = [ref]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError) as exc:
+        load_config(path)
+    loop = os.path.join(os.path.realpath(tmp_path), "loop")
+    message = message.replace("LOOP", loop).replace("POS", str(len(loop) - len("loop")))
+    assert str(exc.value) == "/scenarios/0: " + message
+
+
 def test_scenario_refs_resolve_as_before(tmp_path, data_dir):
     # conf/link points at real/sub, so link/.. is real/ (the kernel walks
     # .. from the link's target), not conf/ where a decoy set lives.
@@ -396,8 +418,8 @@ _READ_CASES = {
 
 def test_read_regular_matches_is_file_and_read_text(tmp_path):
     """The reader gives the text read_text gives, or None where is_file
-    is False on the running Python, or the same exception type and
-    message."""
+    is False, or the same exception type and message; a stat error
+    other than ENOENT, ENOTDIR, EBADF and ELOOP propagates."""
     paths = []
     for name, data in _READ_CASES.items():
         (tmp_path / name).write_bytes(data)
@@ -407,19 +429,16 @@ def test_read_regular_matches_is_file_and_read_text(tmp_path):
     (tmp_path / "loop-a").symlink_to(tmp_path / "loop-b")
     (tmp_path / "loop-b").symlink_to(tmp_path / "loop-a")
     paths += [tmp_path / name for name in ("absent", "dir", "dangling", "loop-a")]
-    # Through a regular file (ENOTDIR), a NUL in the name, a name too long.
-    paths += [tmp_path / "empty" / "x", tmp_path / "a\0b", tmp_path / ("x" * 300)]
+    # Through a regular file (ENOTDIR), a NUL in the name.
+    paths += [tmp_path / "empty" / "x", tmp_path / "a\0b"]
     for path in paths:
         expected = _read_outcome(_pathlib_read, path)
         assert _read_outcome(_read_regular, path) == expected, path
     assert _read_outcome(_read_regular, tmp_path / "crlf") == '{\n  "a": 1\n}\n'
-    # Up to Python 3.12 is_file() lets ENAMETOOLONG through; from 3.13 it
-    # is os.path.isfile(), which reads every stat error as "no such file".
+    # ENAMETOOLONG, as is_file() lets it through up to Python 3.12; from
+    # 3.13 is_file() reads it as "no such file".
     too_long = _read_outcome(_read_regular, tmp_path / ("x" * 300))
-    if sys.version_info >= (3, 13):
-        assert too_long is None
-    else:
-        assert too_long[0] is OSError and "File name too long" in too_long[1]
+    assert too_long[0] is OSError and "File name too long" in too_long[1]
     if not hasattr(os, "mkfifo"):
         return
     # Opening a FIFO with no writer blocks, so the reader must stat it
@@ -438,15 +457,24 @@ def test_read_regular_matches_is_file_and_read_text(tmp_path):
     assert outcome == [_pathlib_read(fifo)] == [None]
 
 
-def test_read_regular_reads_stat_errors_as_os_path_isfile_does(tmp_path, monkeypatch):
-    """With the errno list unset, as from Python 3.13, every stat error
-    is "no such file", as os.path.isfile() has it."""
-    monkeypatch.setattr(reporting, "_MISSING_ERRNOS", None)
-    (tmp_path / "f").write_bytes(b"a\r\nb")
-    paths = [tmp_path / "f", tmp_path / "f" / "x", tmp_path / "absent", tmp_path / ("x" * 300)]
-    for path in paths:
-        expected = path.read_text(encoding="utf-8") if os.path.isfile(path) else None
-        assert _read_regular(path) == expected, path
+def test_read_regular_reads_past_the_size_its_stat_gave(tmp_path, monkeypatch):
+    """A file that has grown since its stat, here one whose stat says
+    1 byte, is read to its end, as read_text reads it."""
+    path = tmp_path / "grown"
+    path.write_bytes(b'{\r\n  "a": "x"\r\n}\r\n' * 100)
+    expected = path.read_text(encoding="utf-8")
+    real_stat = os.stat
+
+    def understated_stat(p, *args, **kwargs):
+        st = real_stat(p, *args, **kwargs)
+        if p != path:
+            return st
+        fields = list(st)
+        fields[6] = 1  # st_size
+        return os.stat_result(fields)
+
+    monkeypatch.setattr(reporting.os, "stat", understated_stat)
+    assert _read_regular(path) == expected
 
 
 def _open_fds():
