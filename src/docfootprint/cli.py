@@ -55,18 +55,21 @@ def _write(out_dir: Path, filename: str, text: str) -> None:
     print(f"wrote {target}")
 
 
-def _read_text(path: Path) -> str:
-    # Only a regular file: a directory or a device such as /dev/zero is
-    # no text input, and reading the device would never end.
+def _read_input(path: Path, name: str = "file", bad: str = "bad text file", parse=str):
+    """parse() of the text of the regular file at path, or one ValueError.
+
+    Only a regular file: a directory or a device such as /dev/zero is
+    no input, and reading the device would never end.
+    """
     try:
         text = _read_regular(path)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"bad text file {path}: {exc}") from None
+        if text is not None:
+            return parse(text)
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{bad} {path}: {exc}") from None
     except MemoryError:
-        raise ValueError(f"file too large to read: {path}") from None
-    if text is None:
-        raise ValueError(f"file not found: {path}")
-    return text
+        raise ValueError(f"{name} too large to read: {path}") from None
+    raise ValueError(f"{name} not found: {path}")
 
 
 def _token_arg(text: str) -> int | str:
@@ -105,21 +108,6 @@ def _count_positions(argv: list[str]) -> list[int]:
     return positions
 
 
-def _resolve_ledger(value: str | None) -> TokenLedger | None:
-    if value is None:
-        return None
-    path = FIXTURES_DIR / "ledger.json" if value == "bundled" else Path(value)
-    try:
-        text = _read_regular(path)
-        if text is not None:
-            return TokenLedger.from_json_obj(json.loads(text))
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"bad ledger file {path}: {exc}") from None
-    except MemoryError:
-        raise ValueError(f"ledger file too large to read: {path}") from None
-    raise ValueError(f"ledger file not found: {path}")
-
-
 def _profile_from(config, name: str | None, default_binding: str):
     chosen = name if name is not None else default_binding
     if chosen not in config.profiles:
@@ -144,15 +132,19 @@ def _cmd_scenario_compare(args) -> int:
 def _run_usecase(args):
     config = load_config(args.config)
     profile = _profile_from(config, args.profile, config.usecase_profile)
-    document = _read_text(Path(args.document))
+    document = _read_input(Path(args.document))
     if not _has_item_rows(document):
         # The pipeline logs only for a document with no item rows, so
         # only then is logging imported and its stderr handler set up.
         import logging
 
         logging.basicConfig(stream=sys.stderr, format="%(levelname)s %(message)s")
-    prompt = _read_text(Path(args.prompt))
-    ledger = _resolve_ledger(args.ledger)
+    prompt = _read_input(Path(args.prompt))
+    ledger = None
+    if args.ledger is not None:
+        path = FIXTURES_DIR / "ledger.json" if args.ledger == "bundled" else Path(args.ledger)
+        ledger = _read_input(path, "ledger file", "bad ledger file",
+                             lambda text: TokenLedger.from_json_obj(json.loads(text)))
     result = run_pipeline(document, prompt, profile, ledger_override=ledger)
     return config, profile, result
 
@@ -217,7 +209,7 @@ def _cmd_tokens_count(args) -> int:
     # Count every file before printing any, so a bad file leaves stdout empty.
     lines = []
     for name in args.files:
-        lines.append(f"{count_tokens(_read_text(Path(name)))}\t{name}")
+        lines.append(f"{count_tokens(_read_input(Path(name)))}\t{name}")
     print("\n".join(lines))
     return 0
 
@@ -255,6 +247,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     """The top-level parser and each command's own parser, by name."""
     parser = argparse.ArgumentParser(
         prog="docfootprint",
+        # 3.13 would put each command's help beside its name; this keeps
+        # the 3.10-3.12 layout on every version.
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=20),
         description="Energy, CO2, and water footprint modeling for "
                     "document-processing workflows.")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")

@@ -227,7 +227,8 @@ def load_config(path: str | Path) -> Config:
     scenario_raws = []
     seen = set()
     for i, ref in enumerate(raw["scenarios"]):
-        if not isinstance(ref, str):
+        if not isinstance(ref, str) or "\0" in ref:
+            # os.path.realpath words a NUL's error differently by version.
             raise ConfigError(f"/scenarios/{i}: expected a file path string")
         scenario_raw = _load_json(path.parent / ref, f"/scenarios/{i}", True)
         scenario_raws.append(scenario_raw)

@@ -79,7 +79,7 @@ CATALOGUE = [
     Mutant("stage-sum-in-floats", "scenarios",
            "total = float(total_wh / _WH_PER_KWH)",
            "total = sum(s.energy_wh_per_doc for s in stages) / 1000.0",
-           "tests/test_scenarios.py::test_cloud_energy_per_doc_order_independent"),
+           "tests/test_scenarios.py::test_cloud_energy_per_doc_sums_in_decimal"),
     Mutant("stage-fast-path-any-size", "scenarios",
            "type(raw) is dict and len(raw) == 2 and", "type(raw) is dict and",
            "tests/test_scenarios.py::test_scenario_json_builds_as_through_json_fields"),
@@ -109,6 +109,9 @@ CATALOGUE = [
            'co2 = _require_number(co2_from_energy(kwh, profile.emission_factor_g_per_kwh), "co2_g")',
            "co2 = co2_from_energy(kwh, profile.emission_factor_g_per_kwh)",
            "tests/test_cli.py::test_a_co2_figure_past_the_float_range_is_an_input_error"),
+    Mutant("ledger-named-as-file", "cli",
+           '"ledger file", "bad ledger file"', '"file", "bad ledger file"',
+           "tests/test_cli.py::test_a_file_too_large_to_hold_is_an_input_error"),
     Mutant("scenario-file-read-unchecked", "reporting",
            "if not S_ISREG(st.st_mode):", "if False:",
            "tests/test_cli.py::test_a_json_input_that_is_no_regular_file_is_an_input_error"),

@@ -12,9 +12,11 @@ tests/golden/help/. The golden files are the reference outputs; a
 refactor must leave all of them unchanged. tests/installed_goldens.py
 checks the same cases and help texts against the installed console
 script. The outputs README.md shows are checked against the goldens
-too, and its Library example is run.
+too, and its Library example is run. Every bundled data file must be
+package data, so that a wheel reads the same inputs.
 """
 
+import glob
 import re
 import shutil
 from pathlib import Path
@@ -157,3 +159,17 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.startswith("Interval(lo=83.23")
+
+
+def test_every_data_file_is_package_data():
+    """A wheel holds only the files that pyproject.toml's package-data
+    globs name, so each file under data/ must match one. An editable
+    install reads data/ from src/ and cannot notice a miss."""
+    tomllib = pytest.importorskip("tomllib")
+    package = ROOT / "src" / "docfootprint"
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        globs = tomllib.load(f)["tool"]["setuptools"]["package-data"]["docfootprint"]
+    shipped = {package / name for pattern in globs
+               for name in glob.glob(pattern, root_dir=package, recursive=True)}
+    data = {path for path in (package / "data").rglob("*") if path.is_file()}
+    assert sorted(data - shipped) == []

@@ -346,14 +346,15 @@ def test_load_config_missing_scenario_file(tmp_path, data_dir):
 
 @pytest.mark.parametrize("ref, message", [
     ("loop", "file not found: LOOP"),
-    ("a\0b", "embedded null byte"),
+    ("a\0b", "expected a file path string"),
     ("\ud800x", "'utf-8' codec can't encode character '\\ud800' in position POS: "
                 "surrogates not allowed"),
 ], ids=["symlink-loop", "nul", "lone-surrogate"])
 def test_a_scenario_ref_with_no_file_is_named_by_its_pointer(tmp_path, data_dir, ref, message):
-    """A symlink loop is named by its absolute path; a name the file
-    system cannot hold, by the error it gives, after the pointer. POS
-    is where the name starts in the absolute path."""
+    """A symlink loop is named by its absolute path; a NUL, which no
+    path can hold, by the package's own message; a name the file system
+    encoding cannot hold, by the error it gives; each after the pointer.
+    POS is where the name starts in the absolute path."""
     (tmp_path / "loop").symlink_to(tmp_path / "loop2")
     (tmp_path / "loop2").symlink_to(tmp_path / "loop")
     raw = json.loads((data_dir / "config.json").read_text())

@@ -131,6 +131,12 @@ def test_cloud_energy_per_doc_order_independent():
     assert cloud_energy_per_doc(stages) == cloud_energy_per_doc(list(reversed(stages)))
 
 
+def test_cloud_energy_per_doc_sums_in_decimal():
+    """0.1 and 0.2 Wh sum to 0.3 Wh exactly; a float sum gives
+    0.30000000000000004 Wh, compensated (Python 3.12 on) or not."""
+    assert cloud_energy_per_doc([PipelineStage("a", 0.1), PipelineStage("b", 0.2)]) == 0.0003
+
+
 def _by_name(config, name):
     return next(s for s in config.scenarios if s.name == name)
 
