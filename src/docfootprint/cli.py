@@ -48,11 +48,20 @@ FIXTURES_DIR = DATA_DIR / "fixtures"
 _TABLE_EXT = {"markdown": "md", "csv": "csv", "json": "json"}
 
 
+def _print(text: str) -> None:
+    """print(text), with what stdout cannot encode, such as an undecodable
+    byte of a file name, escaped as stderr escapes it (backslashreplace)."""
+    try:
+        print(text)
+    except UnicodeEncodeError as exc:
+        print(text.encode(exc.encoding, "backslashreplace").decode(exc.encoding))
+
+
 def _write(out_dir: Path, filename: str, text: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     target = out_dir / filename
     target.write_text(text, encoding="utf-8")
-    print(f"wrote {target}")
+    _print(f"wrote {target}")
 
 
 def _read_input(path: Path, name: str = "file", bad: str = "bad text file", parse=str):
@@ -207,10 +216,8 @@ def _cmd_thinking_delta(args) -> int:
 
 def _cmd_tokens_count(args) -> int:
     # Count every file before printing any, so a bad file leaves stdout empty.
-    lines = []
-    for name in args.files:
-        lines.append(f"{count_tokens(_read_input(Path(name)))}\t{name}")
-    print("\n".join(lines))
+    lines = [f"{count_tokens(_read_input(Path(name)))}\t{name}" for name in args.files]
+    _print("\n".join(lines))
     return 0
 
 

@@ -23,7 +23,15 @@ A record is a _Record subclass: _Record makes the instance frozen and
 gives it field-wise ==, hash and repr over its annotated fields. The
 record is registered as a dataclass, for dataclasses.fields and
 replace, on first use, so importing the package never imports
-dataclasses.
+dataclasses. An __init__ stores its fields with _Record._store, which
+sets its values as the record's first fields in declaration order. The
+records built once per scenario, grid point or invoice keep one
+_set_field line per field instead: Interval, scenarios' WorkforceParams,
+PipelineStage, Scenario, DailyFootprint and ScenarioComparison,
+pipeline's TokenLedger, VerificationRecord, Footprint, ExtractionResult
+and _line_item, and the one-field Energy, Carbon and Water. _store's
+loop costs about 0.4 us more per record (CPython 3.11), which those
+paths would pay for every record they build.
 """
 
 from __future__ import annotations
@@ -160,6 +168,11 @@ class _Record:
     def __delattr__(self, name):
         from dataclasses import FrozenInstanceError
         raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def _store(self, *values) -> None:
+        """Store values as the record's first fields, in declaration order."""
+        for name, value in zip(self._names, values):
+            _set_field(self, name, value)
 
     def _values(self) -> tuple:
         # Not self.__dict__: reading it gives the instance a dict object
@@ -314,12 +327,7 @@ class FootprintProfile(_Record):
             raise ValueError(f"emission_factor_g_per_kwh must be > 0, got {factor}")
         if per_prompt < 0:
             raise ValueError(f"co2_per_prompt_g must be >= 0, got {per_prompt}")
-        _set_field(self, "name", name)
-        _set_field(self, "rate", rate)
-        _set_field(self, "pue", pue)
-        _set_field(self, "wue", wue)
-        _set_field(self, "emission_factor_g_per_kwh", factor)
-        _set_field(self, "co2_per_prompt_g", per_prompt)
+        self._store(name, rate, pue, wue, factor, per_prompt)
 
     @classmethod
     def from_json_obj(cls, name: str, obj: dict) -> "FootprintProfile":
@@ -439,10 +447,7 @@ class ThinkingDelta(_Record):
     delta_water_ml: Interval
 
     def __init__(self, delta_energy_wh, pct_increase, delta_co2_g, delta_water_ml):
-        _set_field(self, "delta_energy_wh", delta_energy_wh)
-        _set_field(self, "pct_increase", pct_increase)
-        _set_field(self, "delta_co2_g", delta_co2_g)
-        _set_field(self, "delta_water_ml", delta_water_ml)
+        self._store(delta_energy_wh, pct_increase, delta_co2_g, delta_water_ml)
 
 
 def thinking_delta(base_tokens: int, thinking_tokens: int,

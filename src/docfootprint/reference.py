@@ -14,7 +14,7 @@ no reconciliation between them is attempted.
 
 from __future__ import annotations
 
-from .core import _Record, _set_field
+from .core import _Record
 
 
 class Deviation(_Record):
@@ -27,11 +27,7 @@ class Deviation(_Record):
     note: str
 
     def __init__(self, key, quantity, published, computed, note):
-        _set_field(self, "key", key)
-        _set_field(self, "quantity", quantity)
-        _set_field(self, "published", published)
-        _set_field(self, "computed", computed)
-        _set_field(self, "note", note)
+        self._store(key, quantity, published, computed, note)
 
 
 DEVIATIONS: tuple[Deviation, ...] = (

@@ -104,18 +104,13 @@ class Config(_Record):
     config_hash: str
 
     def __init__(self, profiles, scenario_profile, usecase_profile, scenarios, config_hash):
-        _set_field(self, "profiles", profiles)
-        _set_field(self, "scenario_profile", scenario_profile)
-        _set_field(self, "usecase_profile", usecase_profile)
-        _set_field(self, "scenarios", scenarios)
-        _set_field(self, "config_hash", config_hash)
+        self._store(profiles, scenario_profile, usecase_profile, scenarios, config_hash)
 
     @classmethod
     def _hashed_on_read(cls, canonical: bytes, *fields) -> Config:
         """A Config of the fields before config_hash, hashing canonical on first read."""
         config = cls.__new__(cls)
-        for name, value in zip(cls._names, fields):
-            _set_field(config, name, value)
+        config._store(*fields)
         _set_field(config, "_canonical", canonical)
         return config
 
@@ -408,9 +403,10 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     """
     pointers = {name: f"/scenarios/{i}" for i, name in enumerate(footprints)}
     others = [n for n in footprints if n != baseline]
-    # The baseline's texts, the same in every reduction column.
-    md_baseline, reduction = _md(baseline), f"_vs_{baseline}_reduction"
-    columns = [(n, n, reduction, f"{_md(n)} vs {md_baseline} (reduction %)",
+    # Each name's markdown text, escaped once for every header it is in,
+    # and the suffix of every reduction column.
+    md, reduction = {name: _md(name) for name in footprints}, f"_vs_{baseline}_reduction"
+    columns = [(n, n, reduction, f"{md[n]} vs {md[baseline]} (reduction %)",
                 _ratios(_reduction, pointers[n], f"reduction vs {baseline}",
                         footprints[baseline], footprints[n]))
                for n in others]
@@ -423,7 +419,7 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         # _md leaves every _vs_ as it is, so replacing them after it gives
         # the same text; the replace runs over the whole key because a _vs_
         # can straddle the join.
-        header = f"{_md(b)}_vs_{_md(a)}".replace("_vs_", " vs ") + " (increase %)"
+        header = f"{md[b]}_vs_{md[a]}".replace("_vs_", " vs ") + " (increase %)"
         columns.append((b, key, "_increase", header,
                         _ratios(_increase, pointers[b], f"increase vs {a}",
                                 footprints[a], footprints[b])))
@@ -451,18 +447,19 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
 
 
 def _token_table(ledger: TokenLedger) -> dict:
+    """The token table. Each (component, tokens, share) row is built once,
+    and its JSON object, CSV row and markdown line are written from it;
+    csv.writer writes an int or float as str() of it."""
     shares = ledger_shares(ledger)
-    rows = [{"component": name, "tokens": getattr(ledger, name), "share_pct": share}
-            for name, share in shares.items()]
+    rows = [(name, getattr(ledger, name), share) for name, share in shares.items()]
     total = ledger.total()
     total_share = float(sum(_dec(share) for share in shares.values()))
-    obj = {"table": "token_table", "source": ledger.source, "rows": rows,
+    obj = {"table": "token_table", "source": ledger.source,
+           "rows": [{"component": c, "tokens": t, "share_pct": s} for c, t, s in rows],
            "total_tokens": total, "total_share_pct": total_share}
-    csv_rows = [[r["component"], str(r["tokens"]), str(r["share_pct"])] for r in rows]
-    md_rows = [f"| {r['component']} | {r['tokens']:,} | {r['share_pct']} |\n" for r in rows]
+    md_rows = [f"| {c} | {t:,} | {s} |\n" for c, t, s in rows]
     return _render(_json_text(obj),
-                   [["component", "tokens", "share_pct"], *csv_rows,
-                    ["total", str(total), str(total_share)]],
+                   [["component", "tokens", "share_pct"], *rows, ["total", total, total_share]],
                    ["Component", "Tokens", "Share (%)"],
                    md_rows + [f"| TOTAL | {total:,} | {total_share} |\n"])
 

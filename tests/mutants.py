@@ -10,13 +10,16 @@ directory, applies the replacement and runs
 
 there, first on the witness and, if the witness passes, on the whole
 suite. It reports every mutant as killed, with the test that killed it,
-or as survived.
+or as survived. Before the first mutant it runs every witness once on
+an unmutated copy, since a witness that fails there would read as a
+kill of its mutant.
 
 Usage: python tests/mutants.py
 
-It exits 1 if a fragment does not occur exactly once, if a mutant
-survives, or if a test other than its witness killed it; a refactor
-that moves a fragment or a witness updates the entry.
+It exits 1 if a fragment does not occur exactly once, if a witness
+fails on the unmutated copy, if a mutant survives, or if a test other
+than its witness killed it; a refactor that moves a fragment or a
+witness updates the entry.
 """
 
 from __future__ import annotations
@@ -45,6 +48,10 @@ class Mutant(NamedTuple):
 
 
 CATALOGUE = [
+    Mutant("store-drops-last-value", "core",
+           "for name, value in zip(self._names, values):",
+           "for name, value in zip(self._names, values[:-1]):",
+           "tests/test_core.py::test_profile_json_round_trip"),
     Mutant("half-up-bound-1e12", "core",
            "if a < 1048576.0:", "if a < 1e12:",
            "tests/test_reporting.py::test_ties_above_2_31_follow_the_decimal_rule"),
@@ -182,17 +189,29 @@ def _pytest(workdir: Path, *args: str) -> str | None:
     return _first_failure(proc.stdout) or f"pytest exit {proc.returncode}"
 
 
+def _copy(workdir: Path) -> None:
+    """Copy what the suite reads from the checkout into workdir."""
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, workdir / name,
+                            ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
+        else:
+            shutil.copy2(source, workdir / name)
+
+
+def baseline() -> str | None:
+    """The first witness that fails on an unmutated copy, or None."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        _copy(Path(tmp))
+        return _pytest(Path(tmp), *dict.fromkeys(m.witness for m in CATALOGUE))
+
+
 def run(mutant: Mutant) -> str | None:
     """The test that killed mutant, witness first, or None if it survived."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         workdir = Path(tmp)
-        for name in COPIED:
-            source = ROOT / name
-            if source.is_dir():
-                shutil.copytree(source, workdir / name,
-                                ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
-            else:
-                shutil.copy2(source, workdir / name)
+        _copy(workdir)
         path = workdir / _source(mutant)
         text = path.read_text(encoding="utf-8")
         path.write_text(text.replace(mutant.fragment, mutant.replacement), encoding="utf-8")
@@ -205,6 +224,10 @@ def main() -> int:
     for m in stale:
         print(f"stale    {m.name}: its fragment does not occur exactly once in {_source(m)}")
     if stale:
+        return 1
+    failing = baseline()
+    if failing is not None:
+        print(f"unmutated copy fails its witnesses: {failing}")
         return 1
     bad = 0
     for m in CATALOGUE:

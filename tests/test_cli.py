@@ -769,3 +769,25 @@ def test_document_without_items_warns_on_stderr(tmp_path):
         check=False)
     assert proc.returncode == 0
     assert proc.stderr == "WARNING no invoice line items matched; returning empty result\n"
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="needs file names of any bytes")
+@pytest.mark.parametrize("command", ["scenario-compare", "tokens-count"])
+def test_a_file_name_stdout_cannot_encode_is_printed_escaped(tmp_path, command):
+    # A strict UTF-8 stdout, the default under a UTF-8 locale other than
+    # C or POSIX, cannot encode the surrogate that stands for byte 0xff.
+    name = os.fsdecode(b"o\xff")
+    if command == "tokens-count":
+        (tmp_path / name).write_text("hello world")
+        argv, expected = [command, name], "3\to\\udcff\n"
+    else:
+        argv = [command, "--out", name]
+        expected = "wrote o\\udcff/scenario_table.md\nwrote o\\udcff/reduction_table.md\n"
+    src_root = str(Path(docfootprint.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src_root, "PYTHONIOENCODING": "utf-8:strict"}
+    proc = subprocess.run([sys.executable, "-m", "docfootprint.cli", *argv],
+                          capture_output=True, env=env, cwd=tmp_path, check=False)
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", expected.encode())
+    if command == "scenario-compare":
+        assert sorted(p.name for p in (tmp_path / name).iterdir()) == ["reduction_table.md",
+                                                                      "scenario_table.md"]
