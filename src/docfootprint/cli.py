@@ -32,7 +32,7 @@ from .pipeline import (
 from .reporting import (
     FORMATS,
     TABLES,
-    _read_regular,
+    _read_input,
     build_bundle,
     emit_bundle_json,
     emit_plot_data,
@@ -62,23 +62,6 @@ def _write(out_dir: Path, filename: str, text: str) -> None:
     target = out_dir / filename
     target.write_text(text, encoding="utf-8")
     _print(f"wrote {target}")
-
-
-def _read_input(path: Path, name: str = "file", bad: str = "bad text file", parse=str):
-    """parse() of the text of the regular file at path, or one ValueError.
-
-    Only a regular file: a directory or a device such as /dev/zero is
-    no input, and reading the device would never end.
-    """
-    try:
-        text = _read_regular(path)
-        if text is not None:
-            return parse(text)
-    except (ValueError, RecursionError) as exc:
-        raise ValueError(f"{bad} {path}: {exc}") from None
-    except MemoryError:
-        raise ValueError(f"{name} too large to read: {path}") from None
-    raise ValueError(f"{name} not found: {path}")
 
 
 def _token_arg(text: str) -> int | str:
@@ -152,8 +135,8 @@ def _run_usecase(args):
     ledger = None
     if args.ledger is not None:
         path = FIXTURES_DIR / "ledger.json" if args.ledger == "bundled" else Path(args.ledger)
-        ledger = _read_input(path, "ledger file", "bad ledger file",
-                             lambda text: TokenLedger.from_json_obj(json.loads(text)))
+        ledger = _read_input(path, lambda text: TokenLedger.from_json_obj(json.loads(text)),
+                             "bad ledger file {path}", "ledger file")
     result = run_pipeline(document, prompt, profile, ledger_override=ledger)
     return config, profile, result
 
@@ -189,12 +172,9 @@ def _cmd_usecase_run(args) -> int:
     _write(out_dir, "extraction_output.json", render_output_json(result.items))
     _write(out_dir, "usecase_report.json", report)
     failures = [r for r in result.verification if not r.ok]
-    if failures:
-        for record in failures:
-            print(f"verification failed: {record.item_id} (delta {record.delta})",
-                  file=sys.stderr)
-        return 3
-    return 0
+    for record in failures:
+        print(f"verification failed: {record.item_id} (delta {record.delta})", file=sys.stderr)
+    return 3 if failures else 0
 
 
 def _cmd_thinking_delta(args) -> int:

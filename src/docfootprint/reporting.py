@@ -24,11 +24,14 @@ So json states the layout once, and the report holds the bytes
 json.dumps(indent=2) would write, without calling it per row: with
 indent set, json falls back to its pure-Python encoder.
 
-Config, scenario, document, prompt and ledger files are read by
-_read_regular: one stat, and only for a regular file one open and one
-read of the size the stat gave. The stat comes first because opening a
-FIFO blocks until a writer comes, and opening a device can act; a
-directory or a device is "file not found", as Path.is_file() has it.
+Every input file (config, scenario, document, prompt, token-count file
+or ledger) is read by _read_input, the one reader, which words each
+failure as a bad file, a file too large or a file not found. It reads
+through _read_regular: one stat, and only for a regular file one open
+and one read of the size the stat gave. The stat comes first because
+opening a FIFO blocks until a writer comes, and opening a device can
+act; a directory or a device is "file not found", as Path.is_file()
+has it.
 On every Python, a stat error reads as "file not found" only for
 ENOENT, ENOTDIR, EBADF and ELOOP, the errnos is_file() ignores up to
 3.12; any other, such as a name too long, propagates with the OS's text.
@@ -165,6 +168,28 @@ def _read_regular(path) -> str | None:
     return text
 
 
+def _read_input(path, parse=str, bad="bad text file {path}", name="file", absolute=False):
+    """parse() of the text of the regular file at path, or one ValueError.
+
+    Bad bytes, or a ValueError or RecursionError from parse, read as bad
+    (its {path} filled in) and the error's text; MemoryError as name too
+    large to read. A path that is no regular file is name not found,
+    shown by its absolute path if absolute is true, else as given; a
+    path that os.path.realpath cannot take gives realpath's error.
+    """
+    try:
+        text = _read_regular(path)
+        if text is not None:
+            return parse(text)
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bytes that are not UTF-8 and integers too long
+        # to convert, as well as JSON syntax errors.
+        raise ValueError(f"{bad.format(path=path)}: {exc}") from None
+    except MemoryError:
+        raise ValueError(f"{name} too large to read: {path}") from None
+    raise ValueError(f"{name} not found: {os.path.realpath(path) if absolute else path}")
+
+
 def _pointed(prefix: str, build, *args, **kwargs):
     """build(*args, **kwargs), its ValueError re-raised as a ConfigError
     whose message is prefix (a JSON pointer) followed by the error's text."""
@@ -174,26 +199,6 @@ def _pointed(prefix: str, build, *args, **kwargs):
         raise ConfigError(f"{prefix}{exc}") from None
 
 
-def _load_json(path: Path, pointer: str, absolute: bool) -> object:
-    """The JSON value in the regular file at path. A missing file is
-    named by its absolute path if absolute is true, else as given. A
-    path that os.path.realpath cannot take, such as one holding a NUL,
-    gives realpath's error after the pointer instead."""
-    try:
-        text = _read_regular(path)
-        if text is not None:
-            return json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        # ValueError covers bytes that are not UTF-8 and integers too long
-        # to convert, as well as JSON syntax errors.
-        raise ConfigError(f"{pointer}: invalid JSON: {exc}") from None
-    except MemoryError:
-        raise ConfigError(f"{pointer}: file too large to read: {path}") from None
-    if absolute:
-        path = _pointed(f"{pointer}: ", os.path.realpath, path)
-    raise ConfigError(f"{pointer}: file not found: {path}")
-
-
 def load_config(path: str | Path) -> Config:
     """Load and validate a config file plus the scenario files it references.
 
@@ -201,7 +206,7 @@ def load_config(path: str | Path) -> Config:
     JSON-pointer of the offending element.
     """
     path = Path(path)
-    raw = _load_json(path, "/", False)
+    raw = _pointed("/: ", _read_input, path, json.loads, "invalid JSON")
     if not isinstance(raw, dict):
         raise ConfigError("/: expected a JSON object")
     _pointed("/", _json_fields, raw, ("profiles", "scenario_profile", "usecase_profile",
@@ -218,25 +223,24 @@ def load_config(path: str | Path) -> Config:
         if raw[key] not in profiles:
             raise ConfigError(f"/{key}: references unknown profile {raw[key]!r}")
 
-    scenarios = []
-    scenario_raws = []
-    seen = set()
+    scenarios, scenario_raws = {}, []
     for i, ref in enumerate(raw["scenarios"]):
+        at = f"/scenarios/{i}: "
         if not isinstance(ref, str) or "\0" in ref:
             # os.path.realpath words a NUL's error differently by version.
-            raise ConfigError(f"/scenarios/{i}: expected a file path string")
-        scenario_raw = _load_json(path.parent / ref, f"/scenarios/{i}", True)
+            raise ConfigError(f"{at}expected a file path string")
+        scenario_raw = _pointed(at, _read_input, path.parent / ref, json.loads, "invalid JSON",
+                                "file", True)
         scenario_raws.append(scenario_raw)
-        scenario = _pointed(f"/scenarios/{i}: ", Scenario.from_json_obj, scenario_raw)
-        if scenario.name in seen:
-            raise ConfigError(f"/scenarios/{i}: duplicate scenario name {scenario.name!r}")
-        seen.add(scenario.name)
-        scenarios.append(scenario)
+        scenario = _pointed(at, Scenario.from_json_obj, scenario_raw)
+        if scenario.name in scenarios:
+            raise ConfigError(f"{at}duplicate scenario name {scenario.name!r}")
+        scenarios[scenario.name] = scenario
 
     canonical = json.dumps({"config": raw, "scenario_files": scenario_raws},
                            sort_keys=True, separators=(",", ":")).encode("utf-8")
     return Config._hashed_on_read(canonical, profiles, raw["scenario_profile"],
-                                  raw["usecase_profile"], tuple(scenarios))
+                                  raw["usecase_profile"], tuple(scenarios.values()))
 
 
 def build_bundle(config: Config, baseline: str,

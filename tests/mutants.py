@@ -117,7 +117,7 @@ CATALOGUE = [
            "co2 = co2_from_energy(kwh, profile.emission_factor_g_per_kwh)",
            "tests/test_cli.py::test_a_co2_figure_past_the_float_range_is_an_input_error"),
     Mutant("ledger-named-as-file", "cli",
-           '"ledger file", "bad ledger file"', '"file", "bad ledger file"',
+           '"bad ledger file {path}", "ledger file"', '"bad ledger file {path}", "file"',
            "tests/test_cli.py::test_a_file_too_large_to_hold_is_an_input_error"),
     Mutant("scenario-file-read-unchecked", "reporting",
            "if not S_ISREG(st.st_mode):", "if False:",
@@ -133,6 +133,12 @@ CATALOGUE = [
            "        while chunk := os.read(fd, 256):\n"
            "            chunks.append(chunk)\n", "",
            "tests/test_reporting.py::test_read_regular_reads_past_the_size_its_stat_gave"),
+    Mutant("reader-names-missing-file-as-given", "reporting",
+           "os.path.realpath(path) if absolute else path", "path",
+           "tests/test_reporting.py::test_scenario_refs_resolve_as_before"),
+    Mutant("reader-leaves-path-unfilled", "reporting",
+           "bad.format(path=path)", "bad",
+           "tests/test_cli.py::test_unreadable_inputs_name_their_source"),
     Mutant("pointer-dropped", "reporting",
            'raise ConfigError(f"{prefix}{exc}") from None', "raise ConfigError(str(exc)) from None",
            "tests/test_reporting.py::test_load_config_rejects_low_pue"),

@@ -480,14 +480,19 @@ def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, prefix):
     assert not out.exists()
 
 
-# Bytes that do not decode as UTF-8 (a UTF-16 byte-order mark).
+# Bytes that do not decode as UTF-8 (a UTF-16 byte-order mark), and the
+# error texts that inputs in these tests give, the same on 3.11 to 3.13.
 _NOT_UTF8 = b"\xff\xfe{\x00}\x00"
+_NOT_UTF8_ERROR = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+_LONG_INT_ERROR = ("Exceeds the limit (4300 digits) for integer string conversion: value has "
+                   "5000 digits; use sys.set_int_max_str_digits() to increase the limit")
 
 
 def _unreadable_config(tmp_path, data_dir):
     config = tmp_path / "config.json"
     config.write_bytes(_NOT_UTF8)
-    return ["scenario-compare", "--config", str(config)], "error: /: invalid JSON: "
+    return (["scenario-compare", "--config", str(config)],
+            f"error: /: invalid JSON: {_NOT_UTF8_ERROR}")
 
 
 def _long_int_config(tmp_path, data_dir):
@@ -495,22 +500,32 @@ def _long_int_config(tmp_path, data_dir):
     config = _config_copy(tmp_path, data_dir,
                           lambda c: c["profiles"]["flash-prompt-2025"].update(pue="PUE"))
     config.write_text(config.read_text().replace('"PUE"', "1" * 5000))
-    return ["scenario-compare", "--config", str(config)], "error: /: invalid JSON: "
+    return (["scenario-compare", "--config", str(config)],
+            f"error: /: invalid JSON: {_LONG_INT_ERROR}")
 
 
 def _unreadable_scenario(tmp_path, data_dir):
     config = _config_copy(tmp_path, data_dir)
     (tmp_path / "scenarios" / "manual.json").write_bytes(_NOT_UTF8)
     return (["scenario-compare", "--config", str(config)],
-            "error: /scenarios/0: invalid JSON: ")
+            f"error: /scenarios/0: invalid JSON: {_NOT_UTF8_ERROR}")
 
 
-def _unreadable_text(option):
+def _unreadable_text(option, name="input.txt"):
     def setup(tmp_path, data_dir):
-        text = tmp_path / "input.txt"
+        text = tmp_path / name
         text.write_bytes(_NOT_UTF8)
         argv = ["usecase-run", option, str(text)] if option else ["tokens-count", str(text)]
-        return argv, f"error: bad text file {text}: 'utf-8' codec can't decode"
+        return argv, f"error: bad text file {text}: {_NOT_UTF8_ERROR}"
+    return setup
+
+
+def _unreadable_ledger(content, error):
+    def setup(tmp_path, data_dir):
+        ledger = tmp_path / "ledger.json"
+        ledger.write_bytes(content)
+        return (["usecase-run", "--ledger", str(ledger)],
+                f"error: bad ledger file {ledger}: {error}")
     return setup
 
 
@@ -519,8 +534,8 @@ def _readable_then(setup):
     def setup_both(tmp_path, data_dir):
         good = tmp_path / "good.txt"
         good.write_text("one readable line\n")
-        argv, prefix = setup(tmp_path, data_dir)
-        return [argv[0], str(good), *argv[1:]], prefix
+        argv, line = setup(tmp_path, data_dir)
+        return [argv[0], str(good), *argv[1:]], line
     return setup_both
 
 
@@ -548,19 +563,23 @@ _NOT_A_FILE = {f"{command}{option}-{kind}": _not_a_file(command, option, kind ==
 @pytest.mark.parametrize("setup", [
     _unreadable_config, _long_int_config, _unreadable_scenario,
     _unreadable_text("--document"), _unreadable_text("--prompt"), _unreadable_text(None),
+    _unreadable_text("--document", "in{put}.txt"),
+    _unreadable_ledger(_NOT_UTF8, _NOT_UTF8_ERROR),
+    _unreadable_ledger(b"not json\n", "Expecting value: line 1 column 1 (char 0)"),
     _readable_then(_unreadable_text(None)), _readable_then(_missing_text),
     *_NOT_A_FILE.values(),
 ], ids=["config-not-utf8", "config-long-int", "scenario-not-utf8",
         "document-not-utf8", "prompt-not-utf8", "tokens-count-not-utf8",
+        "document-braced-name-not-utf8", "ledger-not-utf8", "ledger-not-json",
         "tokens-count-good-then-not-utf8", "tokens-count-good-then-missing", *_NOT_A_FILE])
 def test_unreadable_inputs_name_their_source(tmp_path, data_dir, capsys, setup):
-    argv, prefix = setup(tmp_path, data_dir)
+    argv, line = setup(tmp_path, data_dir)
     out = tmp_path / "out"
     if argv[0] != "tokens-count":
         argv += ["--out", str(out)]
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
+    assert captured.err == line + "\n"
     assert captured.out == ""
     assert not out.exists()
 
