@@ -32,6 +32,7 @@ from .pipeline import (
 from .reporting import (
     FORMATS,
     TABLES,
+    _parse_json,
     _read_input,
     build_bundle,
     emit_bundle_json,
@@ -135,7 +136,7 @@ def _run_usecase(args):
     ledger = None
     if args.ledger is not None:
         path = FIXTURES_DIR / "ledger.json" if args.ledger == "bundled" else Path(args.ledger)
-        ledger = _read_input(path, lambda text: TokenLedger.from_json_obj(json.loads(text)),
+        ledger = _read_input(path, lambda text: TokenLedger.from_json_obj(_parse_json(text)),
                              "bad ledger file {path}", "ledger file")
     result = run_pipeline(document, prompt, profile, ledger_override=ledger)
     return config, profile, result

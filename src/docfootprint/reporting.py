@@ -37,6 +37,19 @@ ENOENT, ENOTDIR, EBADF and ELOOP, the errnos is_file() ignores up to
 3.12; any other, such as a name too long, propagates with the OS's text.
 Line endings are translated as Path.read_text() translates them, since
 the line and column of a JSON error message count the translated text.
+Every JSON input is parsed by _parse_json, which bounds nesting at 512
+levels, so a deeper file gets one message on every Python rather than a
+RecursionError on some and a parse on others.
+
+A scenario file's path is the config's directory and the reference
+joined as strings, which saves a pathlib parse for every scenario; a
+message that prints the path shows it as Path does. pathlib drops a
+last component that is empty or ".", so it reads scenarios/manual.json
+for scenarios/manual.json/ and scenarios/manual.json/., where the
+kernel would ask for a directory; a reference ending so, or absolute,
+is joined by pathlib and names the file it always has, and so is every
+reference where the path separator is not "/". The join folds no "..",
+which after a symlink leads elsewhere than the text says.
 
 The config hash is the SHA-256 of the canonical JSON text of a config
 and its scenario files. load_config keeps that text, and the hash is
@@ -174,8 +187,9 @@ def _read_input(path, parse=str, bad="bad text file {path}", name="file", absolu
     Bad bytes, or a ValueError or RecursionError from parse, read as bad
     (its {path} filled in) and the error's text; MemoryError as name too
     large to read. A path that is no regular file is name not found,
-    shown by its absolute path if absolute is true, else as given; a
-    path that os.path.realpath cannot take gives realpath's error.
+    shown by its absolute path if absolute is true. Otherwise a message
+    shows path, a str or a Path, as Path shows it; a path that
+    os.path.realpath cannot take gives realpath's error.
     """
     try:
         text = _read_regular(path)
@@ -184,19 +198,56 @@ def _read_input(path, parse=str, bad="bad text file {path}", name="file", absolu
     except (ValueError, RecursionError) as exc:
         # ValueError covers bytes that are not UTF-8 and integers too long
         # to convert, as well as JSON syntax errors.
-        raise ValueError(f"{bad.format(path=path)}: {exc}") from None
+        raise ValueError(f"{bad.format(path=Path(path))}: {exc}") from None
     except MemoryError:
-        raise ValueError(f"{name} too large to read: {path}") from None
-    raise ValueError(f"{name} not found: {os.path.realpath(path) if absolute else path}")
+        raise ValueError(f"{name} too large to read: {Path(path)}") from None
+    raise ValueError(f"{name} not found: {os.path.realpath(path) if absolute else Path(path)}")
 
 
-def _pointed(prefix: str, build, *args, **kwargs):
+# The deepest nesting of arrays and objects a JSON input may have. json
+# recurses once a level, and how deep it gets before a RecursionError
+# differs by Python version; 3.11 parses this depth with room to spare.
+_JSON_DEPTH = 512
+# A JSON string, or one bracket outside strings. re compiles it on first
+# use, so a process that reads no deep file does not.
+_JSON_TOKEN = r'(?s)"[^"\\]*(?:\\.[^"\\]*)*"|[][{}]'
+
+
+def _parse_json(text: str):
+    """json.loads(text), where nesting deeper than _JSON_DEPTH is a
+    JSONDecodeError at its first bracket past the bound, unless json
+    finds an error before that bracket, which it then raises.
+
+    Only a text with more brackets than the bound is scanned for them.
+    """
+    if len(text) > _JSON_DEPTH and text.count("[") + text.count("{") > _JSON_DEPTH:
+        depth = 0
+        for token in re.finditer(_JSON_TOKEN, text):
+            # A string token holds a quote, so it is in neither.
+            bracket = token.group()
+            depth += (bracket in "[{") - (bracket in "]}")
+            if depth > _JSON_DEPTH:
+                at = token.start()
+                try:
+                    json.loads(text[:at])
+                except json.JSONDecodeError as exc:
+                    # Cut where a value begins, the text ends where json
+                    # expects that value, unless it has an error before.
+                    if exc.pos < at or exc.msg != "Expecting value":
+                        raise
+                raise json.JSONDecodeError(f"Nesting deeper than {_JSON_DEPTH} levels", text, at)
+    return json.loads(text)
+
+
+def _pointed(pointer, build, *args, **kwargs):
     """build(*args, **kwargs), its ValueError re-raised as a ConfigError
-    whose message is prefix (a JSON pointer) followed by the error's text."""
+    whose message is the JSON pointer and the error's text. pointer is
+    the pointer, or a function that gives it, so that a loop formats its
+    pointer only for an error."""
     try:
         return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{prefix}{exc}") from None
+        raise ConfigError(f"{pointer() if callable(pointer) else pointer}{exc}") from None
 
 
 def load_config(path: str | Path) -> Config:
@@ -206,7 +257,7 @@ def load_config(path: str | Path) -> Config:
     JSON-pointer of the offending element.
     """
     path = Path(path)
-    raw = _pointed("/: ", _read_input, path, json.loads, "invalid JSON")
+    raw = _pointed("/: ", _read_input, path, _parse_json, "invalid JSON")
     if not isinstance(raw, dict):
         raise ConfigError("/: expected a JSON object")
     _pointed("/", _json_fields, raw, ("profiles", "scenario_profile", "usecase_profile",
@@ -224,23 +275,40 @@ def load_config(path: str | Path) -> Config:
             raise ConfigError(f"/{key}: references unknown profile {raw[key]!r}")
 
     scenarios, scenario_raws = {}, []
+    parent = path.parent
+    base = os.path.join(parent, "")
     for i, ref in enumerate(raw["scenarios"]):
-        at = f"/scenarios/{i}: "
-        if not isinstance(ref, str) or "\0" in ref:
-            # os.path.realpath words a NUL's error differently by version.
-            raise ConfigError(f"{at}expected a file path string")
-        scenario_raw = _pointed(at, _read_input, path.parent / ref, json.loads, "invalid JSON",
-                                "file", True)
+        scenario_raw, scenario = _pointed(lambda: f"/scenarios/{i}: ", _scenario_file, parent,
+                                          base, ref)
         scenario_raws.append(scenario_raw)
-        scenario = _pointed(at, Scenario.from_json_obj, scenario_raw)
         if scenario.name in scenarios:
-            raise ConfigError(f"{at}duplicate scenario name {scenario.name!r}")
+            raise ConfigError(f"/scenarios/{i}: duplicate scenario name {scenario.name!r}")
         scenarios[scenario.name] = scenario
 
-    canonical = json.dumps({"config": raw, "scenario_files": scenario_raws},
-                           sort_keys=True, separators=(",", ":")).encode("utf-8")
+    # json.loads builds a new object for every value it reads, so no list
+    # or dict here is inside itself, and skipping json's check for one
+    # writes the same text.
+    canonical = json.dumps({"config": raw, "scenario_files": scenario_raws}, sort_keys=True,
+                           separators=(",", ":"), check_circular=False).encode("utf-8")
     return Config._hashed_on_read(canonical, profiles, raw["scenario_profile"],
                                   raw["usecase_profile"], tuple(scenarios.values()))
+
+
+def _scenario_file(parent: Path, base: str, ref) -> tuple:
+    """The JSON object in the scenario file ref names, and its Scenario.
+
+    ref is joined to base, the parent's text ending in a separator, as a
+    string, or by pathlib to parent where the module docstring says.
+    """
+    if not isinstance(ref, str) or "\0" in ref:
+        # os.path.realpath words a NUL's error differently by version.
+        raise ValueError("expected a file path string")
+    if os.sep != "/" or ref[:1] == "/" or ref.rpartition("/")[2] in ("", "."):
+        file = parent / ref
+    else:
+        file = base + ref
+    obj = _read_input(file, _parse_json, "invalid JSON", "file", True)
+    return obj, Scenario.from_json_obj(obj)
 
 
 def build_bundle(config: Config, baseline: str,
@@ -260,7 +328,7 @@ def build_bundle(config: Config, baseline: str,
     profile = config.profiles[config.scenario_profile]
     footprints = {}
     for i, s in enumerate(config.scenarios):
-        footprints[s.name] = _pointed(f"/scenarios/{i}: ", evaluate_scenario, s, profile)
+        footprints[s.name] = _pointed(lambda: f"/scenarios/{i}: ", evaluate_scenario, s, profile)
     # Reductions first, so a zero baseline is reported before any
     # presentation step runs.
     bundle = {"config": config,

@@ -134,13 +134,23 @@ CATALOGUE = [
            "            chunks.append(chunk)\n", "",
            "tests/test_reporting.py::test_read_regular_reads_past_the_size_its_stat_gave"),
     Mutant("reader-names-missing-file-as-given", "reporting",
-           "os.path.realpath(path) if absolute else path", "path",
+           "os.path.realpath(path) if absolute else Path(path)", "Path(path)",
            "tests/test_reporting.py::test_scenario_refs_resolve_as_before"),
     Mutant("reader-leaves-path-unfilled", "reporting",
-           "bad.format(path=path)", "bad",
+           "bad.format(path=Path(path))", "bad",
            "tests/test_cli.py::test_unreadable_inputs_name_their_source"),
+    Mutant("json-nesting-bound-one-shallow", "reporting",
+           "if depth > _JSON_DEPTH:", "if depth >= _JSON_DEPTH:",
+           "tests/test_cli.py::test_deeply_nested_json_is_an_input_error"),
+    Mutant("scenario-ref-keeps-trailing-component", "reporting",
+           'ref[:1] == "/" or ref.rpartition("/")[2] in ("", ".")', 'ref[:1] == "/"',
+           "tests/test_reporting.py::test_scenario_refs_name_the_file_pathlib_joins"),
+    Mutant("evaluation-pointer-off-by-one", "reporting",
+           'f"/scenarios/{i}: ", evaluate_scenario', 'f"/scenarios/{i + 1}: ", evaluate_scenario',
+           "tests/test_cli.py::test_malformed_config_is_an_input_error"),
     Mutant("pointer-dropped", "reporting",
-           'raise ConfigError(f"{prefix}{exc}") from None', "raise ConfigError(str(exc)) from None",
+           'raise ConfigError(f"{pointer() if callable(pointer) else pointer}{exc}") from None',
+           "raise ConfigError(str(exc)) from None",
            "tests/test_reporting.py::test_load_config_rejects_low_pue"),
     Mutant("negative-percent-rounds-up", "reporting",
            "(t + 5) // 10 if t >= 0 else -((5 - t) // 10)", "(t + 5) // 10",

@@ -466,18 +466,24 @@ def test_a_scenario_ref_with_no_file_is_an_input_error(tmp_path, data_dir, capsy
     assert not out.exists()
 
 
-@pytest.mark.parametrize("argv, prefix", [
-    (["scenario-compare", "--config"], "error: /: invalid JSON: "),
-    (["usecase-run", "--ledger"], "error: bad ledger file "),
+_TOO_DEEP = "Nesting deeper than 512 levels: line 1 column 513 (char 512)"
+
+
+@pytest.mark.parametrize("argv, parsed, too_deep", [
+    (["scenario-compare", "--config"], "/: expected a JSON object", f"/: invalid JSON: {_TOO_DEEP}"),
+    (["usecase-run", "--ledger"], "bad ledger file DEEP: expected an object, got list",
+     f"bad ledger file DEEP: {_TOO_DEEP}"),
 ], ids=["config", "ledger"])
-def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, prefix):
-    deep = tmp_path / "deep.json"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
-    out = tmp_path / "out"
-    assert main([*argv, str(deep), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(prefix) and err.count("\n") == 1
-    assert not out.exists()
+def test_deeply_nested_json_is_an_input_error(tmp_path, capsys, argv, parsed, too_deep):
+    """JSON nested up to 512 levels parses on every Python, and deeper
+    nesting is one message at its first bracket past the bound."""
+    deep, out = tmp_path / "deep.json", tmp_path / "out"
+    for depth in (512, 513, 5_000, 100_000):
+        deep.write_text("[" * depth + "]" * depth)
+        assert main([*argv, str(deep), "--out", str(out)]) == 2
+        message = parsed if depth <= 512 else too_deep
+        assert capsys.readouterr().err == f"error: {message.replace('DEEP', str(deep))}\n", depth
+        assert not out.exists()
 
 
 # Bytes that do not decode as UTF-8 (a UTF-16 byte-order mark), and the

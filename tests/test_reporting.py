@@ -8,6 +8,7 @@ import re
 import shutil
 import threading
 from decimal import ROUND_HALF_UP, Decimal, InvalidOperation
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -391,6 +392,69 @@ def test_scenario_refs_resolve_as_before(tmp_path, data_dir):
     with pytest.raises(ConfigError) as exc:
         load_config(path)
     assert str(exc.value) == f"/scenarios/1: file not found: {missing}"
+
+
+@pytest.mark.parametrize("ref", [
+    "scenarios/hitl.json/", "scenarios/hitl.json/.", "scenarios/hitl.json/./",
+    "./scenarios/hitl.json", "scenarios//hitl.json", "", ".", "ABSOLUTE", "BARE",
+], ids=["trailing-slash", "trailing-dot", "trailing-dot-slash", "leading-dot",
+        "double-slash", "empty", "dot", "absolute", "bare-config-name"])
+def test_scenario_refs_name_the_file_pathlib_joins(tmp_path, data_dir, monkeypatch, ref):
+    """A ref names the file that pathlib's join of the config's directory
+    and the ref names: the scenario loads from it, or the error line gives
+    that join's real path. ABSOLUTE is the absolute path of a scenario
+    file; BARE loads the config by its bare name from its own directory."""
+    shutil.copytree(data_dir / "scenarios", tmp_path / "scenarios")
+    raw = json.loads((data_dir / "config.json").read_text())
+    path = tmp_path / "config.json"
+    if ref == "ABSOLUTE":
+        ref = str(tmp_path / "scenarios" / "hitl.json")
+    elif ref == "BARE":
+        monkeypatch.chdir(tmp_path)
+        path, ref = Path(path.name), raw["scenarios"][1]
+    raw["scenarios"][1] = ref
+    path.write_text(json.dumps(raw))
+    joined = path.parent / ref
+    if not joined.is_file():
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert str(exc.value) == f"/scenarios/1: file not found: {os.path.realpath(joined)}"
+        return
+    scenario = Scenario.from_json_obj(json.loads(joined.read_text()))
+    assert scenario.name == "hitl"
+    assert load_config(path).scenarios[1] == scenario
+
+
+def _parse_outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": x, "b": ' + "[" * 600,
+    "[" * 512 + "1[" + "]" * 513,
+    '["' + "[" * 600,
+    '["' + "[" * 600 + '"]',
+    '["\\"' + "[" * 600 + '"]',
+    '{"a":' * 512 + "1" + "}" * 512,
+    "[" * 300 + '"' + "[" * 300 + '"' + "]" * 300,
+], ids=["error-before-the-bound", "error-at-the-bound", "unterminated-string",
+        "brackets-in-a-string", "brackets-after-an-escaped-quote", "objects-at-the-bound",
+        "string-between-brackets"])
+def test_json_within_the_nesting_bound_parses_as_json_parses_it(text):
+    """Where no bracket outside a string is past 512 levels, or json finds
+    an error before the first that is, the outcome is json's own."""
+    assert _parse_outcome(reporting._parse_json, text) == _parse_outcome(json.loads, text)
+
+
+def test_json_past_the_nesting_bound_is_an_error_at_its_first_bracket():
+    text = '{"a": [' + '{"b":' * 510 + "{}" + "}" * 510 + "]}"
+    at = text.index("{}")
+    assert _parse_outcome(reporting._parse_json, text) == (
+        json.JSONDecodeError,
+        f"Nesting deeper than 512 levels: line 1 column {at + 1} (char {at})")
 
 
 def _read_outcome(read, path):
