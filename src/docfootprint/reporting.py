@@ -1,15 +1,18 @@
 """Config ingestion and report emission.
 
 Numeric presentation rounding is half-up of the float's repr, or of a
-Decimal as it is. One kernel, core._half_up, rounds every presented
-figure to a whole number of tenths (or hundredths). The scenario and
-percent cells here and the token shares of pipeline.ledger_shares use
-that number; present() turns it into a Decimal for the thinking-delta
-figures. Internal values stay at full precision until a table or plot
-series is rendered. Published table digits are reproduced by rounding
-energy to one decimal first and deriving the CO2 and water cells from
-those presented figures in decimal arithmetic, exactly as the
-reference tables were produced.
+Decimal as it is. core._half_up rounds a presented figure to a whole
+number of tenths (or hundredths). The energy and percent cells here and
+the token shares of pipeline.ledger_shares use that number; present()
+turns it into a Decimal for the thinking-delta figures. Internal values
+stay at full precision until a table or plot series is rendered.
+Published table digits are reproduced by rounding energy to one decimal
+first and deriving the CO2 and water cells from those presented figures
+in decimal arithmetic, exactly as the reference tables were produced:
+each is the half-up of the product of an energy cell and a factor in
+the 28-digit decimal context. _cell_tenths computes that product's
+tenths in integers below a bound at which the context still multiplies
+exactly, and as _half_up of the Decimal product from there.
 
 The scenario and reduction tables format each row from one set of
 presented cells, once per output. Module-level % templates give a
@@ -387,32 +390,66 @@ _REDUCTION_TABLE = _template({"table": "reduction_table", "baseline": "%s", "row
 _SMALL_TENTHS = 10**15
 
 
+def _cell_tenths(profile: FootprintProfile):
+    """The function of an energy interval that gives a scenario row's
+    tenths (e0, e1, c0, c1, w0, w1): e0 and e1 are _half_up of the energy
+    endpoints, and each CO2 and water cell is _half_up(Decimal(e).scaleb(-1)
+    * f), for e0 and e1 with f the emission factor in kg per kWh, e0 with
+    wue.lo and e1 with wue.hi.
+
+    Each f is m * 10**x for a whole m, so its product is e * m * 10**(x - 1),
+    which the 28-digit context holds exactly while e * m < 10**28, and for
+    x < 0 the product's half-up tenths are (e * m + div // 2) // div, where
+    div = 10**-x. So a row whose e1 is below 10**28 // max(m), and no row
+    if some x >= 0, is presented in integers. Any other row takes the
+    Decimal expression, which is where a cell too large to present raises.
+    """
+    ef = _dec(profile.emission_factor_g_per_kwh) / Decimal(1000)
+    wue_lo, wue_hi = _dec(profile.wue.lo), _dec(profile.wue.hi)
+    factors = (ef, wue_lo, wue_hi)
+    exps = [f.as_tuple().exponent for f in factors]
+    # Where some x >= 0, div is a float that no row reads.
+    (mc, dc), (ml, dl), (mh, dh) = [(int(f.scaleb(-x)), 10**-x) for f, x in zip(factors, exps)]
+    hc, hl, hh = dc // 2, dl // 2, dh // 2
+    # Every factor is > 0, so each m is at least 1.
+    bound = 10**28 // max(mc, ml, mh) if max(exps) < 0 else 0
+
+    def tenths(energy) -> tuple:
+        e0, e1 = _half_up(energy.lo), _half_up(energy.hi)
+        # Floor division rounds half up only for e * m >= 0; energy is
+        # never negative, and e0 <= e1.
+        if e1 < bound:
+            return (e0, e1, (e0 * mc + hc) // dc, (e1 * mc + hc) // dc, (e0 * ml + hl) // dl,
+                    (e1 * mh + hh) // dh)
+        d0, d1 = Decimal(e0).scaleb(-1), Decimal(e1).scaleb(-1)
+        return (e0, e1, _half_up(d0 * ef), _half_up(d1 * ef), _half_up(d0 * wue_lo),
+                _half_up(d1 * wue_hi))
+
+    return tenths
+
+
 def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintProfile) -> tuple:
     """Presented scenario rows, and the plot series' JSON text.
 
     CO2 and water cells are derived from the one-decimal energy cell
-    in decimal arithmetic rather than from the full-precision chain;
-    this matches how the published tables were rounded (e.g. a 16.2
-    energy bound gives 16.2 * 0.30 = 4.86 -> 4.9 L, where the exact
-    chain would show 4.8). A row's cells are whole tenths from _half_up.
-    A cell's text, from // and %, is str of the Decimal cell; its JSON
-    number is the repr of t / 10, float of the Decimal cell. In a row
-    whose cells are all below _SMALL_TENTHS the two are the same text,
-    and the plot midpoints come from the tenths. The row's JSON object
-    and plot records are written by templates derived from json.dumps,
-    and its markdown row by one more, from the same cells as its CSV
-    row.
+    rather than from the full-precision chain; this matches how the
+    published tables were rounded (e.g. a 16.2 energy bound gives
+    16.2 * 0.30 = 4.86 -> 4.9 L, where the exact chain would show 4.8).
+    A row's cells are whole tenths from _cell_tenths: half-up of the
+    exact product, in integers unless the product is past what the
+    decimal context holds exactly. A cell's text, from // and %, is str
+    of the Decimal cell; its JSON number is the repr of t / 10, float of
+    the Decimal cell. In a row whose cells are all below _SMALL_TENTHS the
+    two are the same text, and the plot midpoints come from the tenths.
+    The row's JSON object and plot records are written by templates
+    derived from json.dumps, and its markdown row by one more, from the
+    same cells as its CSV row.
     """
-    ef = _dec(profile.emission_factor_g_per_kwh) / Decimal(1000)
-    wue_lo = _dec(profile.wue.lo)
-    wue_hi = _dec(profile.wue.hi)
+    cell_tenths = _cell_tenths(profile)
     rows, csv_rows, md_rows, records = [], [], [], []
     for name, fp in footprints.items():
-        e0, e1 = _half_up(fp.energy_kwh.lo), _half_up(fp.energy_kwh.hi)
-        d0, d1 = Decimal(e0).scaleb(-1), Decimal(e1).scaleb(-1)
-        c0, c1 = _half_up(d0 * ef), _half_up(d1 * ef)
-        w0, w1 = _half_up(d0 * wue_lo), _half_up(d1 * wue_hi)
-        tenths = (e0, e1, c0, c1, w0, w1)
+        tenths = cell_tenths(fp.energy_kwh)
+        e0, e1, c0, c1, w0, w1 = tenths
         text = [f"{t // 10}.{t % 10}" for t in tenths]
         # Each high endpoint is at least its low one.
         if max(e1, c1, w1) < _SMALL_TENTHS:
@@ -439,18 +476,22 @@ def _scenario_table(footprints: dict[str, DailyFootprint], profile: FootprintPro
     return table, _block(records, 0, "[]") + "\n"
 
 
-_METRICS = (("energy", "energy_kwh"), ("co2", "co2_kg"), ("water", "water_l"))
+_METRICS = ("energy", "co2", "water")
 
 
-def _ratios(ratio, pointer: str, label: str, base, candidate) -> dict[str, tuple[float, float]]:
-    """ratio's (lo, hi) for each metric; a failure names the candidate and metric."""
-    out = {}
-    for metric, field in _METRICS:
-        try:
-            out[metric] = ratio(getattr(base, field), getattr(candidate, field))
-        except ValueError as exc:
-            raise ConfigError(f"{pointer}: {metric} {label}: {exc}") from None
-    return out
+def _ratios(ratio, i: int, kind: str, other: str, base, candidate) -> tuple:
+    """ratio's (lo, hi) for energy, CO2 and water, in _METRICS order. A
+    failure is a ConfigError naming the candidate, /scenarios/<i>, the
+    metric, and kind vs other; its text is built only then."""
+    metric = "energy"
+    try:
+        energy = ratio(base.energy_kwh, candidate.energy_kwh)
+        metric = "co2"
+        co2 = ratio(base.co2_kg, candidate.co2_kg)
+        metric = "water"
+        return energy, co2, ratio(base.water_l, candidate.water_l)
+    except ValueError as exc:
+        raise ConfigError(f"/scenarios/{i}: {metric} {kind} vs {other}: {exc}") from None
 
 
 def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> dict:
@@ -458,13 +499,13 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     increase of each of those scenarios over the one before it.
 
     The table is one list of columns, reductions then increases. Each
-    column holds the scenario it belongs to (an increase column belongs
-    to the later scenario of its pair), its JSON key, the suffix that
-    makes that key the stem of its CSV keys, its markdown header and its
-    per-metric ratios; the JSON maps, the CSV and markdown headers and
-    the repeated-header check all read that list. The suffix is one
-    string per kind of column, so no stem is held while the rows are
-    written.
+    column holds the index of the scenario it belongs to (an increase
+    column belongs to the later scenario of its pair), its JSON key, the
+    suffix that makes that key the stem of its CSV keys, its markdown
+    header and its per-metric ratios; the JSON maps, the CSV and markdown
+    headers and the repeated-header check all read that list. The suffix
+    is one string per kind of column, so no stem is held while the rows
+    are written.
 
     Every ratio is computed before any is presented, so a zero baseline
     is reported ahead of a presentation failure. Each metric row's
@@ -472,39 +513,38 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     markdown row are written from them; a map with no pair is {}. A
     repeated increase key or markdown header is a ConfigError naming
     the later scenario, since a reader could not tell the columns apart.
+    An error's pointer is formatted only when it is raised.
     """
-    pointers = {name: f"/scenarios/{i}" for i, name in enumerate(footprints)}
-    others = [n for n in footprints if n != baseline]
+    others = [(i, n) for i, n in enumerate(footprints) if n != baseline]
     # Each name's markdown text, escaped once for every header it is in,
     # and the suffix of every reduction column.
     md, reduction = {name: _md(name) for name in footprints}, f"_vs_{baseline}_reduction"
-    columns = [(n, n, reduction, f"{md[n]} vs {md[baseline]} (reduction %)",
-                _ratios(_reduction, pointers[n], f"reduction vs {baseline}",
-                        footprints[baseline], footprints[n]))
-               for n in others]
+    base = footprints[baseline]
+    columns = [(i, n, reduction, f"{md[n]} vs {md[baseline]} (reduction %)",
+                _ratios(_reduction, i, "reduction", baseline, base, footprints[n]))
+               for i, n in others]
     n, keys = len(columns), set()
-    for a, b in zip(others, others[1:]):
+    for (_, a), (i, b) in zip(others, others[1:]):
         key = f"{b}_vs_{a}"
         if key in keys:
-            raise ConfigError(f"{pointers[b]}: increase column {key!r} repeats an earlier one")
+            raise ConfigError(f"/scenarios/{i}: increase column {key!r} repeats an earlier one")
         keys.add(key)
         # _md leaves every _vs_ as it is, so replacing them after it gives
         # the same text; the replace runs over the whole key because a _vs_
         # can straddle the join.
         header = f"{md[b]}_vs_{md[a]}".replace("_vs_", " vs ") + " (increase %)"
-        columns.append((b, key, "_increase", header,
-                        _ratios(_increase, pointers[b], f"increase vs {a}",
-                                footprints[a], footprints[b])))
+        columns.append((i, key, "_increase", header,
+                        _ratios(_increase, i, "increase", a, footprints[a], footprints[b])))
     seen = set()
     for owner, _, _, header, _ in columns:
         if header in seen:
-            raise ConfigError(f"{pointers[owner]}: markdown header {header!r} repeats an earlier one")
+            raise ConfigError(f"/scenarios/{owner}: markdown header {header!r} repeats an earlier one")
         seen.add(header)
     json_keys = [_quote(key) for _, key, _, _, _ in columns]
     rows, csv_rows, md_rows = [], [], []
-    for metric, _ in _METRICS:
+    for k, metric in enumerate(_METRICS):
         pcts = [(present_pct(lo), present_pct(hi))
-                for lo, hi in (r[metric] for _, _, _, _, r in columns)]
+                for lo, hi in (r[k] for _, _, _, _, r in columns)]
         entries = [_MAP_ENTRY % (key, *pair) for key, pair in zip(json_keys, pcts)]
         rows.append(_REDUCTION_ROW % (_quote(metric), _block(entries[:n], 3),
                                       _block(entries[n:], 3)))

@@ -161,9 +161,15 @@ CATALOGUE = [
            'return name.replace("|", "\\\\|")',
            "tests/test_reporting.py::test_markdown_escapes_pipes_and_line_breaks_in_names"),
     Mutant("co2-from-unrounded-energy", "reporting",
-           "c0, c1 = _half_up(d0 * ef), _half_up(d1 * ef)",
-           "c0, c1 = _half_up(_dec(fp.energy_kwh.lo) * ef), _half_up(_dec(fp.energy_kwh.hi) * ef)",
+           "(e0 * mc + hc) // dc, (e1 * mc + hc) // dc",
+           "_half_up(_dec(energy.lo) * ef), _half_up(_dec(energy.hi) * ef)",
            "tests/test_reporting.py::test_emitted_texts_match_their_pinned_digests"),
+    # At 10**28 // max(m) itself e1 * m <= 10**28 is still exact, so < as
+    # <= would present the same cells; ten times the bound does not.
+    Mutant("integer-cells-bound-ten-times-high", "reporting",
+           "bound = 10**28 // max(mc, ml, mh)", "bound = 10**29 // max(mc, ml, mh)",
+           "tests/test_reporting.py::"
+           "test_scenario_cells_are_integer_below_the_bound_and_decimal_from_it"),
     Mutant("small-cells-up-to-1e17", "reporting",
            "_SMALL_TENTHS = 10**15", "_SMALL_TENTHS = 10**17",
            "tests/test_reporting.py::test_emitted_texts_match_their_pinned_digests"),
@@ -175,8 +181,14 @@ CATALOGUE = [
            "if text else brackets", 'if text else "[]"',
            "tests/test_reporting.py::test_json_texts_are_canonical_indent_2"),
     Mutant("increase-column-owned-by-earlier-scenario", "reporting",
-           'columns.append((b, key, "_increase"', 'columns.append((a, key, "_increase"',
+           "for (_, a), (i, b) in zip(others, others[1:]):",
+           "for (i, a), (_, b) in zip(others, others[1:]):",
            "tests/test_reporting.py::test_repeated_markdown_header_names_the_later_scenario"),
+    Mutant("reduction-pointer-off-by-one", "reporting",
+           'f"/scenarios/{i}: {metric} {kind} vs {other}: {exc}"',
+           'f"/scenarios/{i + 1}: {metric} {kind} vs {other}: {exc}"',
+           "tests/test_reporting.py::"
+           "test_reduction_table_errors_name_the_scenario_metric_and_ratio"),
     Mutant("template-one-level-shallow", "reporting",
            'return "  " * depth + text.replace("\\n", "\\n" + "  " * depth)',
            'return "  " * (depth - 1) + text.replace("\\n", "\\n" + "  " * (depth - 1))',

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -16,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from docfootprint import (
     ConfigError,
     FootprintProfile,
+    Interval,
     Scenario,
     TokenLedger,
     build_bundle,
@@ -229,6 +231,109 @@ def test_present_follows_the_decimal_rule_on_the_scenario_products(config, perfb
         for energy in energies:
             for factor in factors:
                 _assert_present(energy * factor, 1)
+
+
+# An energy interval of Decimal endpoints at whole tenths, which _half_up
+# takes as they are, so a row of any tenths can be presented.
+_Energy = collections.namedtuple("_Energy", "lo hi")
+
+
+def _cell_outcome(profile, e0, e1):
+    """The row tenths reporting._cell_tenths gives for energy tenths e0 <= e1."""
+    energy = _Energy(Decimal(e0).scaleb(-1), Decimal(e1).scaleb(-1))
+    return _outcome(reporting._cell_tenths(profile), energy)
+
+
+def _factors(profile):
+    """The emission factor in kg per kWh, wue.lo and wue.hi, as Decimals."""
+    return (Decimal(repr(profile.emission_factor_g_per_kwh)) / Decimal(1000),
+            Decimal(repr(profile.wue.lo)), Decimal(repr(profile.wue.hi)))
+
+
+def _reference_cells(profile, e0, e1):
+    """The row tenths by the Decimal rule: each presented energy cell times
+    its factor (the emission factor, wue.lo for e0 and wue.hi for e1)."""
+    ef, lo, hi = _factors(profile)
+    d0, d1 = Decimal(e0).scaleb(-1), Decimal(e1).scaleb(-1)
+    return _outcome(lambda _: (e0, e1, *(_reference_tenths(d * f) for d, f in
+                                         ((d0, ef), (d1, ef), (d0, lo), (d1, hi)))), None)
+
+
+def _exact_bound(profile):
+    """10**28 // the largest coefficient of the profile's three Decimal
+    factors, or 0 if one has an exponent >= 0."""
+    parts = [f.as_tuple() for f in _factors(profile)]
+    if any(part.exponent >= 0 for part in parts):
+        return 0
+    return 10**28 // max(int("".join(map(str, part.digits))) for part in parts)
+
+
+def _cell_profile(emission, wue_lo, wue_hi):
+    return FootprintProfile("cells", 0.24, 1.0, Interval(wue_lo, wue_hi), emission, 0.0)
+
+
+# Positive finite floats, and ones with as few digits as real factors.
+_FACTORS = (st.floats(min_value=5e-324, max_value=1e300)
+            | st.floats(1e-3, 1e4).map(lambda x: float(f"{x:.2g}")))
+
+
+@settings(derandomize=True, max_examples=600, deadline=None, database=None)
+@given(emission=_FACTORS, wue=st.lists(_FACTORS, min_size=2, max_size=2).map(sorted),
+       data=st.data())
+def test_scenario_cells_are_the_decimal_products_of_the_energy_cells(emission, wue, data):
+    """Below the bound, where the cells are computed in integers, and from
+    it, where the Decimal expression computes them, a row's CO2 and water
+    tenths are those of the Decimal products of its energy cells."""
+    profile = _cell_profile(emission, *wue)
+    bound = _exact_bound(profile)
+    rows = [(0, 0), (0, 1), (15, 15)]
+    for lo, hi in ((0, bound - 1), (bound, 10**28 - 1)):
+        if lo <= hi:
+            e1 = data.draw(st.integers(lo, hi))
+            rows.append((data.draw(st.integers(0, e1)), e1))
+    for e0, e1 in rows:
+        assert _cell_outcome(profile, e0, e1) == _reference_cells(profile, e0, e1), (e0, e1)
+
+
+def test_scenario_cells_are_integer_below_the_bound_and_decimal_from_it(config, perfbench_gen,
+                                                                        monkeypatch):
+    """A row is presented in integers while its high energy tenths are below
+    10**28 // the largest factor coefficient, and by the Decimal expression
+    (four more _half_up calls) from there, or always where a factor has an
+    exponent >= 0. Either way its cells are the Decimal products'."""
+    calls = []
+    monkeypatch.setattr(reporting, "_half_up", lambda x, places=1: calls.append(x) or
+                        _half_up(x, places))
+
+    def assert_row(profile, e0, e1, half_ups):
+        calls.clear()
+        assert _cell_outcome(profile, e0, e1) == _reference_cells(profile, e0, e1), (e0, e1)
+        assert len(calls) == half_ups, (e0, e1)
+
+    for profile in _profiles(config, perfbench_gen):
+        bound = _exact_bound(profile)
+        assert 0 < bound < 10**28
+        for e0, e1, half_ups in ((0, bound - 1, 2), (bound - 1, bound - 1, 2), (0, bound, 6),
+                                 (bound, bound, 6), (bound, 10**28 - 1, 6)):
+            assert_row(profile, e0, e1, half_ups)
+    # A factor whose repr has a non-negative exponent: 1E+22 kg per kWh.
+    for profile in (_cell_profile(1e25, 0.18, 0.3), _cell_profile(288.0, 0.18, 1e22)):
+        assert _exact_bound(profile) == 0
+        for e0, e1 in ((0, 0), (0, 5), (12345, 678901)):
+            assert_row(profile, e0, e1, 6)
+    # Just past the bound of a 0.3 factor, 3e * 10**-2 has 29 digits and
+    # the 28-digit product rounds its last 5 to even: the Decimal cell is
+    # one tenth below the exact product's half-up, and the row keeps it.
+    profile = _cell_profile(300.0, 0.3, 0.3)
+    e = 34 * 10**26 + 15
+    assert _exact_bound(profile) == 10**28 // 3 < e
+    assert _reference_cells(profile, e, e)[2] == (e * 3 + 5) // 10 - 1
+    assert_row(profile, e, e, 6)
+    # A row past what the Decimal context can present still names the value.
+    profile = _cell_profile(288.0, 0.18, 1234567.8)
+    assert_row(profile, 10**26, 10**26, 6)
+    assert _cell_outcome(profile, 10**26, 10**26) == (
+        ValueError, "value too large to present: 1.234567800000000000000000000E+31")
 
 
 def test_values_too_large_to_present_are_named_in_one_message():
@@ -622,6 +727,54 @@ def test_increase_overflow_names_candidate_and_metric(config):
     with pytest.raises(ConfigError) as exc:
         build_bundle(tiny, "agentic")
     assert str(exc.value) == "/scenarios/1: energy increase vs manual: lo: must be finite, got inf"
+
+
+def _with_laptops(config, laptops):
+    """The config with each scenario whose laptop draw is given run by one
+    operator at that draw, with no stages and no overhead."""
+    scenarios = []
+    for scenario, laptop in zip(config.scenarios, laptops):
+        if laptop is not None:
+            obj = scenario.to_json_obj()
+            obj["workforce"]["laptop_kwh_per_day"] = laptop
+            obj.update(stages=[], overhead_kwh_per_day=0, operators_override=[1, 1])
+            scenario = Scenario.from_json_obj(obj)
+        scenarios.append(scenario)
+    return dataclasses.replace(config, scenarios=tuple(scenarios))
+
+
+# At 5e-324 kWh the CO2 (* 0.288) and water (* 0.18, * 0.3) underflow to
+# 0.0; at 1e-323 kWh only the low water endpoint does. Energy ratios of
+# one such scenario to another stay finite.
+@pytest.mark.parametrize("laptops, baseline, message", [
+    ((5e-324, 5e-324, 5e-324), "manual", "/scenarios/1: co2 reduction vs manual: zero baseline"),
+    ((1e-323, 1e-323, 1e-323), "manual",
+     "/scenarios/1: water reduction vs manual: zero baseline"),
+    ((5e-324, 5e-324, 5e-324), "hitl", "/scenarios/0: co2 reduction vs hitl: zero baseline"),
+    ((None, 5e-324, 5e-324), "manual", "/scenarios/2: co2 increase vs hitl: zero baseline"),
+    ((None, 1e-323, 1e-323), "manual", "/scenarios/2: water increase vs hitl: zero baseline"),
+    ((5e-324, None, 5e-324), "hitl", "/scenarios/2: co2 increase vs manual: zero baseline"),
+], ids=["co2-reduction", "water-reduction", "reduction-baseline-second", "co2-increase",
+        "water-increase", "increase-across-the-baseline"])
+def test_reduction_table_errors_name_the_scenario_metric_and_ratio(config, laptops, baseline,
+                                                                   message):
+    with pytest.raises(ConfigError) as exc:
+        build_bundle(_with_laptops(config, laptops), baseline)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("names, message", [
+    (["x_vs_y", "p", "manual", "y", "p_vs_x"],
+     "/scenarios/4: increase column 'p_vs_x_vs_y' repeats an earlier one"),
+    (["r", "manual", "p vs q", "q vs r", "p"],
+     "/scenarios/4: markdown header 'p vs q vs r (increase %)' repeats an earlier one"),
+], ids=["increase-key", "markdown-header"])
+def test_repeated_columns_name_the_later_scenario_past_the_baseline(config, names, message):
+    cfg = dataclasses.replace(config, scenarios=tuple(
+        dataclasses.replace(config.scenarios[i % 3], name=n) for i, n in enumerate(names)))
+    with pytest.raises(ConfigError) as exc:
+        build_bundle(cfg, "manual")
+    assert str(exc.value) == message
 
 
 def test_scenario_table_markdown(bundle):
