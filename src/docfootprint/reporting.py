@@ -26,6 +26,9 @@ a table's JSON text is written once.
 So json states the layout once, and the report holds the bytes
 json.dumps(indent=2) would write, without calling it per row: with
 indent set, json falls back to its pure-Python encoder.
+A reduction column's percent pair is computed and presented once and
+written into all three metric rows, since under one profile the CO2
+and water ratios are the energy ratio.
 
 Every input file (config, scenario, document, prompt, token-count file
 or ledger) is read by _read_input, the one reader, which words each
@@ -480,16 +483,21 @@ _METRICS = ("energy", "co2", "water")
 
 
 def _ratios(ratio, i: int, kind: str, other: str, base, candidate) -> tuple:
-    """ratio's (lo, hi) for energy, CO2 and water, in _METRICS order. A
-    failure is a ConfigError naming the candidate, /scenarios/<i>, the
-    metric, and kind vs other; its text is built only then."""
+    """ratio's (lo, hi) for energy, which is the CO2 and water pair too:
+    each of their endpoints is the energy endpoint times a factor that
+    the endpoint-matched ratio cancels. A product can still underflow to
+    zero, so after energy's errors a CO2 and then a water baseline with
+    a zero endpoint is a zero baseline. A failure is a ConfigError
+    naming the candidate, /scenarios/<i>, the metric, and kind vs
+    other; its text is built only then."""
     metric = "energy"
     try:
-        energy = ratio(base.energy_kwh, candidate.energy_kwh)
-        metric = "co2"
-        co2 = ratio(base.co2_kg, candidate.co2_kg)
-        metric = "water"
-        return energy, co2, ratio(base.water_l, candidate.water_l)
+        pair = ratio(base.energy_kwh, candidate.energy_kwh)
+        # Every Interval has lo <= hi, so a zero endpoint is a zero lo.
+        for metric, low in (("co2", base.co2_kg.lo), ("water", base.water_l.lo)):
+            if low <= 0:
+                raise ValueError("zero baseline")
+        return pair
     except ValueError as exc:
         raise ConfigError(f"/scenarios/{i}: {metric} {kind} vs {other}: {exc}") from None
 
@@ -502,17 +510,20 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
     column holds the index of the scenario it belongs to (an increase
     column belongs to the later scenario of its pair), its JSON key, the
     suffix that makes that key the stem of its CSV keys, its markdown
-    header and its per-metric ratios; the JSON maps, the CSV and markdown
+    header and its ratio pair; the JSON maps, the CSV and markdown
     headers and the repeated-header check all read that list. The suffix
     is one string per kind of column, so no stem is held while the rows
     are written.
 
     Every ratio is computed before any is presented, so a zero baseline
-    is reported ahead of a presentation failure. Each metric row's
-    percent pairs are presented once, and its JSON maps, CSV row and
-    markdown row are written from them; a map with no pair is {}. A
-    repeated increase key or markdown header is a ConfigError naming
-    the later scenario, since a reader could not tell the columns apart.
+    is reported ahead of a presentation failure. A column's percent pair
+    is computed and presented once and written into all three metric
+    rows: under one profile the CO2 and water ratios are the energy
+    ratio (see _ratios), so the JSON maps, the CSV values and the
+    markdown cells are built once, and the rows differ only in their
+    metric name; a map with no pair is {}. A repeated increase key or
+    markdown header is a ConfigError naming the later scenario, since a
+    reader could not tell the columns apart.
     An error's pointer is formatted only when it is raised.
     """
     others = [(i, n) for i, n in enumerate(footprints) if n != baseline]
@@ -540,18 +551,16 @@ def _reduction_table(footprints: dict[str, DailyFootprint], baseline: str) -> di
         if header in seen:
             raise ConfigError(f"/scenarios/{owner}: markdown header {header!r} repeats an earlier one")
         seen.add(header)
-    json_keys = [_quote(key) for _, key, _, _, _ in columns]
-    rows, csv_rows, md_rows = [], [], []
-    for k, metric in enumerate(_METRICS):
-        pcts = [(present_pct(lo), present_pct(hi))
-                for lo, hi in (r[k] for _, _, _, _, r in columns)]
-        entries = [_MAP_ENTRY % (key, *pair) for key, pair in zip(json_keys, pcts)]
-        rows.append(_REDUCTION_ROW % (_quote(metric), _block(entries[:n], 3),
-                                      _block(entries[n:], 3)))
-        csv_rows.append([metric, *[v for pair in pcts for v in pair]])
-        cells = [metric, *[f"{lo} -- {hi}" for lo, hi in pcts[:n]]]
-        cells += [f"+{lo} -- +{hi}" if lo >= 0 else f"{lo} -- {hi}" for lo, hi in pcts[n:]]
-        md_rows.append("| " + " | ".join(cells) + " |\n")
+    pcts = [(present_pct(lo), present_pct(hi)) for _, _, _, _, (lo, hi) in columns]
+    entries = [_MAP_ENTRY % (_quote(key), *pair) for (_, key, _, _, _), pair in zip(columns, pcts)]
+    red, inc = _block(entries[:n], 3), _block(entries[n:], 3)
+    values = [v for pair in pcts for v in pair]
+    cells = ["", *[f"{lo} -- {hi}" for lo, hi in pcts[:n]]]
+    cells += [f"+{lo} -- +{hi}" if lo >= 0 else f"{lo} -- {hi}" for lo, hi in pcts[n:]]
+    tail = " | ".join(cells) + " |\n"
+    rows = [_REDUCTION_ROW % (_quote(m), red, inc) for m in _METRICS]
+    csv_rows = [[m, *values] for m in _METRICS]
+    md_rows = ["| " + m + tail for m in _METRICS]
     csv_header = ["metric", *[f"{key}{suffix}_{end}" for _, key, suffix, _, _ in columns
                               for end in ("lo", "hi")]]
     return _render(_REDUCTION_TABLE % (_quote(baseline), _block(rows, 1, "[]")),

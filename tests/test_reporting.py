@@ -763,6 +763,16 @@ def test_reduction_table_errors_name_the_scenario_metric_and_ratio(config, lapto
     assert str(exc.value) == message
 
 
+def test_subnormal_footprints_print_the_energy_row_for_every_metric(config):
+    # Subnormal CO2 and water products lose digits (CO2 59 -- 59, water
+    # 60 -- 61 for the first column if taken from their own ratios); the
+    # energy ratio, which every metric's row is, keeps them.
+    b = build_bundle(_with_laptops(config, (5e-322, 2e-322, 3e-322)), "manual")
+    rows = emit_table(b, "reduction_table", "markdown").splitlines()[2:]
+    assert rows == [f"| {metric} | 60 -- 60 | 40 -- 40 | +53 -- +53 |"
+                    for metric in ("energy", "co2", "water")]
+
+
 @pytest.mark.parametrize("names, message", [
     (["x_vs_y", "p", "manual", "y", "p_vs_x"],
      "/scenarios/4: increase column 'p_vs_x_vs_y' repeats an earlier one"),
